@@ -21,11 +21,7 @@ import numpy as np
 
 from . import __version__, perf
 from .fabric import FaultInjection, Topology, build_mesh, topology_from_dict
-from .inference import (
-    DEFAULT_INFERENCE_COST,
-    pipeline_baseline,
-    sp_inference_report,
-)
+from .inference import pipeline_baseline, sp_inference_report
 from .numeric import reference_attention
 from .sharding import load_samples
 from .strategies import (
@@ -33,6 +29,8 @@ from .strategies import (
     StrategyConfig,
     StrategyConfigError,
     execute_strategy,
+    plan_granule,
+    resolve_strategy,
 )
 
 EXIT_OK = 0
@@ -90,6 +88,14 @@ def _auto_a2a(topology: Topology, model: str) -> int:
     return best
 
 
+def _int(value, path: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+    return value
+
+
 def _strategy_from_config(cfg: dict, topology: Topology, model: str) -> StrategyConfig:
     _reject_unknown(cfg, _STRATEGY_KEYS, "strategy")
     kind = cfg.get("kind", "two_d")
@@ -98,21 +104,18 @@ def _strategy_from_config(cfg: dict, topology: Topology, model: str) -> Strategy
             f"strategy.kind: unknown strategy {kind!r} "
             f"(expected one of {', '.join(STRATEGY_KINDS)})"
         )
-    a2a = int(cfg.get("a2a", 0))
-    p2p = int(cfg.get("p2p", 0))
-    world = topology.world_size
-    if kind in ("naive_ring", "zigzag_ring"):
-        a2a = 1
-        p2p = p2p or world
-    elif kind == "ulysses":
-        a2a = a2a or world
-        p2p = 1
-    else:
-        a2a = a2a or _auto_a2a(topology, model)
-        p2p = p2p or world // a2a
+    a2a = _int(cfg.get("a2a", 0), "strategy.a2a", 0)
+    p2p = _int(cfg.get("p2p", 0), "strategy.p2p", 0)
+    kv_replication = cfg.get("kv_replication", False)
+    if not isinstance(kv_replication, bool):
+        raise ConfigError(
+            f"strategy.kv_replication: must be true or false, got {kv_replication!r}"
+        )
+    if kind == "two_d" and not a2a and not p2p:
+        a2a = _auto_a2a(topology, model)
     try:
-        return StrategyConfig(kind, a2a_degree=a2a, p2p_degree=p2p,
-                              kv_replication=bool(cfg.get("kv_replication", False)))
+        return resolve_strategy(perf.model_profile(model).spec, topology.world_size,
+                                kind, a2a, p2p, kv_replication)
     except StrategyConfigError as exc:
         raise ConfigError(f"strategy: {exc}") from exc
 
@@ -157,27 +160,31 @@ def load_scenario(path: str | None, overrides: argparse.Namespace) -> Scenario:
     if not isinstance(strategy_cfg, dict):
         raise ConfigError("strategy: must be an object")
 
-    seed = overrides.seed if overrides.seed is not None else int(raw.get("seed", 0))
+    seed = overrides.seed if overrides.seed is not None else raw.get("seed", 0)
+    seed = _int(seed, "seed", 0)
     seq_len_explicit = (
         getattr(overrides, "seq_len", None) is not None or "seq_len" in workload
     )
     seq_len = (
         overrides.seq_len
         if getattr(overrides, "seq_len", None) is not None
-        else int(workload.get("seq_len", 192))
+        else workload.get("seq_len", 192)
     )
-    if seq_len < 1:
-        raise ConfigError("workload.seq_len: must be >= 1")
+    seq_len = _int(seq_len, "workload.seq_len", 1)
+    samples_file = workload.get("samples_file")
+    if samples_file is not None and not isinstance(samples_file, str):
+        raise ConfigError(f"workload.samples_file: must be a path, got {samples_file!r}")
+    out = overrides.out if overrides.out is not None else raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out: must be a path, got {out!r}")
+    fault = raw.get("inject_fault_message")
+    if fault is not None:
+        fault = _int(fault, "inject_fault_message", 0)
 
-    if overrides.strategy is not None:
-        strategy_cfg = dict(strategy_cfg)
-        strategy_cfg["kind"] = overrides.strategy
-    if overrides.a2a is not None:
-        strategy_cfg = dict(strategy_cfg)
-        strategy_cfg["a2a"] = overrides.a2a
-    if overrides.p2p is not None:
-        strategy_cfg = dict(strategy_cfg)
-        strategy_cfg["p2p"] = overrides.p2p
+    for key, value in (("kind", overrides.strategy), ("a2a", overrides.a2a),
+                       ("p2p", overrides.p2p)):
+        if value is not None:
+            strategy_cfg = {**strategy_cfg, key: value}
     strategy = _strategy_from_config(strategy_cfg, topology, model)
 
     return Scenario(
@@ -186,12 +193,13 @@ def load_scenario(path: str | None, overrides: argparse.Namespace) -> Scenario:
         strategy=strategy,
         seq_len=seq_len,
         seq_len_explicit=seq_len_explicit,
-        frames=int(workload.get("frames", 0)),
-        tokens_per_frame=int(workload.get("tokens_per_frame", 256)),
-        samples_file=workload.get("samples_file"),
+        frames=_int(workload.get("frames", 0), "workload.frames", 0),
+        tokens_per_frame=_int(workload.get("tokens_per_frame", 256),
+                              "workload.tokens_per_frame", 1),
+        samples_file=samples_file,
         seed=seed,
-        out=overrides.out if overrides.out is not None else raw.get("out"),
-        inject_fault_message=raw.get("inject_fault_message"),
+        out=out,
+        inject_fault_message=fault,
     )
 
 
@@ -243,36 +251,24 @@ def _sidecar(out_path: str | None, suffix: str) -> str | None:
 # ---------------------------------------------------------------------------
 
 def verification_strategies(scenario: Scenario) -> list[StrategyConfig]:
-    """All strategy kinds that are valid at this world size, scenario's first."""
+    """The scenario's strategy, then every other kind valid at this world size."""
     spec = perf.model_profile(scenario.model).spec
     world = scenario.topology.world_size
-    configs: list[StrategyConfig] = []
-
-    def try_add(kind, a2a, p2p):
-        for replication in (False, True):
-            cfg = StrategyConfig(kind, a2a_degree=a2a, p2p_degree=p2p,
-                                 kv_replication=replication)
-            try:
-                cfg.validate_heads(spec)
-            except StrategyConfigError:
-                continue
-            if cfg not in configs:
-                configs.append(cfg)
-            return
-
-    try_add(scenario.strategy.kind, scenario.strategy.a2a_degree,
-            scenario.strategy.p2p_degree)
-    try_add("naive_ring", 1, world)
-    try_add("zigzag_ring", 1, world)
-    try_add("ulysses", world, 1)
-    two_d_a2a = _auto_a2a(scenario.topology, scenario.model)
-    try_add("two_d", two_d_a2a, world // two_d_a2a)
+    configs = [scenario.strategy]
+    for kind, a2a in (("naive_ring", 1), ("zigzag_ring", 1), ("ulysses", world),
+                      ("two_d", _auto_a2a(scenario.topology, scenario.model))):
+        try:
+            cfg = resolve_strategy(spec, world, kind, a2a)
+        except StrategyConfigError:
+            continue
+        if cfg not in configs:
+            configs.append(cfg)
     return configs
 
 
 def _verify_length(scenario: Scenario) -> int:
-    granule = 2 * scenario.topology.world_size
-    return max(granule, (scenario.seq_len // granule) * granule)
+    granule = plan_granule("zigzag", scenario.topology.world_size)  # suits every kind
+    return max(granule, scenario.seq_len - scenario.seq_len % granule)
 
 
 def cmd_verify(scenario: Scenario) -> int:
@@ -293,7 +289,7 @@ def cmd_verify(scenario: Scenario) -> int:
                 v = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
                 fault = None
                 if scenario.inject_fault_message is not None and cfg == configs[0]:
-                    fault = FaultInjection(int(scenario.inject_fault_message))
+                    fault = FaultInjection(scenario.inject_fault_message)
                 run = execute_strategy(mesh, cfg, spec, q, k, v, fault=fault)
                 oracle = reference_attention(q, k, v, spec)
                 diff = float(np.max(np.abs(run.gathered() - oracle)))
@@ -452,9 +448,8 @@ def cmd_infer(scenario: Scenario) -> int:
         warnings.simplefilter("ignore")
         mesh = build_mesh(topology, scenario.strategy.a2a_degree,
                           scenario.strategy.p2p_degree)
-        pipe = pipeline_baseline(topology, spec, seq, stages,
-                                 cost=DEFAULT_INFERENCE_COST)
-        sp = sp_inference_report(mesh, spec, seq, cost=DEFAULT_INFERENCE_COST)
+        pipe = pipeline_baseline(topology, spec, seq, stages)
+        sp = sp_inference_report(mesh, spec, seq)
     rows = list(pipe.rows()) + list(sp.rows())
     header = ("mode", "device", "busy_s", "idle_s", "peak_mem_bytes")
     emit_csv(scenario.out, header, rows, scenario.seed)

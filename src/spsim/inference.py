@@ -25,14 +25,13 @@ from .numeric import (
     AttentionState,
 )
 from .sharding import EncodedSequence, ShardPlan, text_embedding_stub
-from .strategies import StrategyConfig, attention_rank_body
+from .strategies import attention_rank_body, resolve_strategy
 from . import perf
 
 __all__ = [
     "StubModel",
     "DecodeState",
     "ScheduleReport",
-    "InferenceCost",
     "sp_prefill",
     "sp_decode_step",
     "decode_greedy",
@@ -300,39 +299,6 @@ def decode_greedy(mesh: DeviceMesh, state: DecodeState, max_new_tokens: int) -> 
 # Analytic schedules: pipeline baseline vs sequence-parallel inference
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InferenceCost:
-    """Knobs of the analytic inference schedule and memory model."""
-
-    device_flops: float = 989e12
-    efficiency: float = 0.45
-    linear_params_factor: float = 12.0  # per-layer linear params = factor * hidden^2
-    act_bytes: float = 2.0
-    input_resident_factor: float = 100.0  # embeddings + vision pinned on device 0
-    working_factor: float = 22.0  # per-device working activations
-    weight_bytes_per_param: float = 2.0
-
-    @property
-    def device_rate(self) -> float:
-        return self.device_flops * self.efficiency
-
-    def layer_forward_flops(self, spec: AttentionSpec, seq_len: int) -> float:
-        hidden = spec.hidden_size
-        linear = 2.0 * self.linear_params_factor * hidden * hidden * seq_len
-        attention = 2.0 * seq_len * seq_len * hidden
-        return linear + attention
-
-    def total_weight_bytes(self, spec: AttentionSpec) -> float:
-        params = spec.num_layers * self.linear_params_factor * spec.hidden_size**2
-        return params * self.weight_bytes_per_param
-
-    def bytes_per_token(self, spec: AttentionSpec) -> float:
-        return spec.hidden_size * self.act_bytes
-
-
-DEFAULT_INFERENCE_COST = InferenceCost()
-
-
 @dataclass
 class ScheduleReport:
     """Per-device busy/idle split, peak memory and total request latency."""
@@ -357,7 +323,7 @@ class ScheduleReport:
 
 
 def pipeline_baseline(topology: Topology, spec: AttentionSpec, seq_len: int,
-                      stages: int, cost: InferenceCost = DEFAULT_INFERENCE_COST
+                      stages: int, cost: perf.PerfCost = perf.DEFAULT_COST
                       ) -> ScheduleReport:
     """Layer-by-layer pipeline over one request: one device busy at a time.
 
@@ -395,30 +361,14 @@ def pipeline_baseline(topology: Topology, spec: AttentionSpec, seq_len: int,
     )
 
 
-def _prefill_strategy_for(mesh: DeviceMesh, spec: AttentionSpec) -> StrategyConfig:
-    kind = "two_d"
-    if mesh.a2a_degree == 1:
-        kind = "zigzag_ring"
-    elif mesh.p2p_degree == 1:
-        kind = "ulysses"
-    replication = spec.num_kv_heads % mesh.a2a_degree != 0
-    return StrategyConfig(kind, a2a_degree=mesh.a2a_degree, p2p_degree=mesh.p2p_degree,
-                          kv_replication=replication)
-
-
 def sp_inference_report(mesh: DeviceMesh, spec: AttentionSpec, seq_len: int,
-                        cost: InferenceCost = DEFAULT_INFERENCE_COST) -> ScheduleReport:
+                        cost: perf.PerfCost = perf.DEFAULT_COST) -> ScheduleReport:
     """All devices busy concurrently; activations and KV spread evenly."""
     world = mesh.world_size
     compute = spec.num_layers * cost.layer_forward_flops(spec, seq_len) \
         / cost.device_rate / world
-    config = _prefill_strategy_for(mesh, spec)
-    config.validate_heads(spec)
-    per_rank = [0.0] * world
-    topo = mesh.topology
-    for src, dst, nbytes, _kind in perf.strategy_messages(config, spec, seq_len, mesh):
-        per_rank[src] += comm_time(nbytes, topo.link_class(src, dst), topo)
-    comm = max(per_rank) * spec.num_layers
+    config = resolve_strategy(spec, mesh.sp_degree, a2a=mesh.a2a_degree, p2p=mesh.p2p_degree)
+    comm = max(perf.per_rank_comm_seconds(config, spec, seq_len, mesh)) * spec.num_layers
     total = compute + comm
     token_bytes = seq_len * cost.bytes_per_token(spec)
     per_device_mem = (
@@ -436,7 +386,7 @@ def sp_inference_report(mesh: DeviceMesh, spec: AttentionSpec, seq_len: int,
 
 def pipeline_max_seq(topology: Topology, spec: AttentionSpec, stages: int,
                      per_device_memory: float = 80e9,
-                     cost: InferenceCost = DEFAULT_INFERENCE_COST) -> int:
+                     cost: perf.PerfCost = perf.DEFAULT_COST) -> int:
     """Longest sequence the pipeline's first device can hold."""
     first_weights = (spec.num_layers // stages) / spec.num_layers \
         * cost.total_weight_bytes(spec)
@@ -451,7 +401,7 @@ def pipeline_max_seq(topology: Topology, spec: AttentionSpec, stages: int,
 
 def sp_max_seq(mesh: DeviceMesh, spec: AttentionSpec,
                per_device_memory: float = 80e9,
-               cost: InferenceCost = DEFAULT_INFERENCE_COST) -> int:
+               cost: perf.PerfCost = perf.DEFAULT_COST) -> int:
     """Longest sequence when activations are spread evenly across devices."""
     world = mesh.world_size
     budget = per_device_memory - cost.total_weight_bytes(spec) / world

@@ -15,14 +15,22 @@ from dataclasses import dataclass, replace
 
 from .fabric import DeviceMesh, Topology, build_mesh, comm_time
 from .numeric import AttentionSpec
-from .strategies import StrategyConfig, StrategyConfigError, effective_kv_heads
+from .strategies import (
+    RING_KINDS,
+    StrategyConfig,
+    StrategyConfigError,
+    effective_kv_heads,
+    padded_length,
+    plan_granule,
+    plan_kind,
+    resolve_strategy,
+)
 
 __all__ = [
     "PerfCost",
     "OverlapPenalty",
     "ModelProfile",
     "CalibrationRow",
-    "CostReport",
     "PROFILE_NAMES",
     "model_profile",
     "reference_rows",
@@ -30,13 +38,13 @@ __all__ = [
     "flops_profile",
     "comm_volume",
     "strategy_messages",
+    "per_rank_comm_seconds",
     "iteration_time",
     "megatron_baseline_time",
     "max_context",
     "peak_memory_per_rank",
     "two_stage_gain",
     "plan",
-    "build_cost_report",
 ]
 
 COMPONENTS = ("encoder", "linears", "attention", "others")
@@ -46,15 +54,21 @@ FLOAT_BYTES = 8  # simulator tensors are float64
 
 @dataclass(frozen=True)
 class PerfCost:
-    """Hardware/cost knobs; acceptance checks use only ratios and orderings."""
+    """Hardware/cost knobs of the training and inference models.
+
+    Acceptance checks use only ratios and orderings.
+    """
 
     device_flops: float = 989e12  # peak per-device rate
     efficiency: float = 0.45  # achieved fraction of peak
     backward_multiplier: float = 2.0  # fwd+bwd as a multiple of fwd
     activation_tensors_per_layer: float = 18.0
-    activation_bytes: float = 2.0  # training activations are half precision
+    activation_bytes: float = 2.0  # activations are half precision
     weight_bytes_per_param: float = 2.0
     memory_overhead_bytes: float = 2e9
+    linear_params_factor: float = 12.0  # inference: per-layer linear params / hidden^2
+    input_resident_factor: float = 100.0  # inference: embeddings + vision pinned on device 0
+    working_factor: float = 22.0  # inference: per-device working activations
 
     @property
     def device_rate(self) -> float:
@@ -67,6 +81,19 @@ class PerfCost:
             * self.activation_tensors_per_layer
             * self.activation_bytes
         )
+
+    def layer_forward_flops(self, spec: AttentionSpec, seq_len: int) -> float:
+        hidden = spec.hidden_size
+        linear = 2.0 * self.linear_params_factor * hidden * hidden * seq_len
+        attention = 2.0 * seq_len * seq_len * hidden
+        return linear + attention
+
+    def total_weight_bytes(self, spec: AttentionSpec) -> float:
+        params = spec.num_layers * self.linear_params_factor * spec.hidden_size**2
+        return params * self.weight_bytes_per_param
+
+    def bytes_per_token(self, spec: AttentionSpec) -> float:
+        return spec.hidden_size * self.activation_bytes
 
 
 DEFAULT_COST = PerfCost()
@@ -268,11 +295,6 @@ def flops_profile(profile: ModelProfile, num_frames: int, context_len: int) -> d
 # Communication model: exact mirror of the executed message patterns
 # ---------------------------------------------------------------------------
 
-def _padded_for(config: StrategyConfig, seq_len: int) -> int:
-    granule = config.sp_degree if config.kind in ("naive_ring", "ulysses") else 2 * config.sp_degree
-    return max(granule, ((seq_len + granule - 1) // granule) * granule)
-
-
 def strategy_messages(config: StrategyConfig, spec: AttentionSpec, seq_len: int,
                       mesh: DeviceMesh):
     """Yield every off-rank message (src, dst, nbytes, kind) of one forward pass.
@@ -284,19 +306,13 @@ def strategy_messages(config: StrategyConfig, spec: AttentionSpec, seq_len: int,
     sp = config.sp_degree
     if mesh.sp_degree != sp:
         raise ValueError(f"mesh sp degree {mesh.sp_degree} != strategy sp degree {sp}")
-    padded = _padded_for(config, seq_len)
+    padded = padded_length(plan_kind(config.kind), sp, seq_len)
     local = padded // sp
     d = spec.head_dim
 
+    # One 2D pattern for every kind: the rings are its a2a=1 factor (no
+    # exchange) and ulysses its p2p=1 factor (no ring), as in execution.
     for base in range(0, mesh.world_size, sp):
-        if config.kind in ("naive_ring", "zigzag_ring"):
-            ring = tuple(range(base, base + sp))
-            kv_bytes = 2 * spec.num_kv_heads * local * d * FLOAT_BYTES
-            for _hop in range(sp - 1):
-                for i, src in enumerate(ring):
-                    yield src, ring[(i + 1) % sp], kv_bytes, "p2p"
-            continue
-
         degree = config.a2a_degree
         rounds = config.p2p_degree
         eff_kv = effective_kv_heads(spec, degree, config.kv_replication)
@@ -347,7 +363,9 @@ def volume_total(volume: dict, kind: str | None = None, link: str | None = None)
     )
 
 
-def _per_rank_comm_seconds(config, spec, seq_len, mesh) -> list[float]:
+def per_rank_comm_seconds(config: StrategyConfig, spec: AttentionSpec, seq_len: int,
+                          mesh: DeviceMesh) -> list[float]:
+    """Seconds each rank spends sending its messages of one forward pass."""
     topo = mesh.topology
     seconds = [0.0] * mesh.world_size
     for src, dst, nbytes, _kind in strategy_messages(config, spec, seq_len, mesh):
@@ -359,24 +377,16 @@ def _per_rank_comm_seconds(config, spec, seq_len, mesh) -> list[float]:
 # Iteration time, memory and the planner
 # ---------------------------------------------------------------------------
 
-def _resolve_overlap(config: StrategyConfig, overlap: bool | None) -> bool:
-    # Ring-style strategies try to hide KV transfers under the attention
-    # kernel (at a compute penalty); the A2A-based strategies run blocking
-    # exchanges and never pay it.
-    if config.kind in ("naive_ring", "zigzag_ring"):
-        return True if overlap is None else overlap
-    return False
-
-
 def iteration_time(config: StrategyConfig, profile: ModelProfile, topology: Topology,
-                   seq_len: int, overlap: bool | None = None,
-                   num_frames: int = 0, cost: PerfCost = DEFAULT_COST,
+                   seq_len: int, num_frames: int = 0, cost: PerfCost = DEFAULT_COST,
                    penalty: OverlapPenalty = DEFAULT_PENALTY) -> float:
     """Modeled seconds per training iteration (forward+backward).
 
-    Per-rank time is compute (scaled by the overlap penalty when the
-    strategy overlaps communication) plus any communication that does not
-    fit under it; the slowest rank sets the iteration time.
+    Ring strategies hide KV transfers under the attention kernel at the
+    overlap penalty, so a rank takes the longer of its penalized compute and
+    its communication; the A2A-based strategies run blocking exchanges, so
+    their compute and communication add.  The slowest rank sets the
+    iteration time.
     """
     if not profile.calibrated:
         raise ValueError("iteration_time requires a calibrated profile")
@@ -389,13 +399,12 @@ def iteration_time(config: StrategyConfig, profile: ModelProfile, topology: Topo
         fwd_total += flops["encoder"]
     compute = fwd_total / sp / cost.device_rate * cost.backward_multiplier
 
-    comm_fwd = _per_rank_comm_seconds(config, profile.spec, seq_len, mesh)
+    comm_fwd = per_rank_comm_seconds(config, profile.spec, seq_len, mesh)
     times = []
-    use_overlap = _resolve_overlap(config, overlap)
-    per_rank_tokens = _padded_for(config, seq_len) / sp
+    per_rank_tokens = padded_length(plan_kind(config.kind), sp, seq_len) / sp
     for rank_comm in comm_fwd[: sp]:
         comm = rank_comm * cost.backward_multiplier
-        if use_overlap:
+        if config.kind in RING_KINDS:
             penalized = compute * (1.0 + penalty(per_rank_tokens))
             times.append(max(penalized, comm))
         else:
@@ -468,7 +477,7 @@ def max_context(config: StrategyConfig | str, profile: ModelProfile, world_size:
         return 0
     per_token = cost.activation_bytes_per_token(profile.spec)
     tokens = int(sp * budget / per_token)
-    return tokens - tokens % (2 * sp)  # largest padded length that fits
+    return tokens - tokens % plan_granule("zigzag", sp)  # largest padded length that fits
 
 
 def two_stage_gain(samples, sp_degree: int, profile: ModelProfile,
@@ -549,22 +558,10 @@ def plan(topology: Topology, profile: ModelProfile, seq_len: int,
         raise ValueError("no valid strategy for an empty world")
     candidates: list[StrategyConfig] = []
     for a2a in _divisors(world):
-        p2p = world // a2a
-        if a2a == 1:
-            kind = "zigzag_ring"
-        elif p2p == 1:
-            kind = "ulysses"
-        else:
-            kind = "two_d"
-        for replication in (False, True):
-            cfg = StrategyConfig(kind, a2a_degree=a2a, p2p_degree=p2p,
-                                 kv_replication=replication)
-            try:
-                cfg.validate_heads(profile.spec)
-            except StrategyConfigError:
-                continue
-            candidates.append(cfg)
-            break  # replication only considered when required
+        try:
+            candidates.append(resolve_strategy(profile.spec, world, a2a=a2a))
+        except StrategyConfigError:
+            continue
     if not candidates:
         raise StrategyConfigError("no valid strategy for this topology and model")
     scored = [
@@ -574,42 +571,3 @@ def plan(topology: Topology, profile: ModelProfile, seq_len: int,
     ]
     scored.sort(key=lambda item: item[:3])
     return scored[0][3]
-
-
-@dataclass
-class CostReport:
-    """One strategy/shape cost summary; totals equal sums of parts."""
-
-    config: StrategyConfig
-    seq_len: int
-    component_flops: dict
-    comm_bytes: dict  # (kind, link) -> bytes
-    iteration_seconds: float
-    peak_memory_bytes: float
-    max_context_tokens: int
-
-    @property
-    def total_flops(self) -> float:
-        return sum(self.component_flops.values())
-
-    def bytes_total(self, kind: str | None = None, link: str | None = None) -> int:
-        return volume_total(self.comm_bytes, kind, link)
-
-
-def build_cost_report(config: StrategyConfig, profile: ModelProfile, topology: Topology,
-                      seq_len: int, num_frames: int = 0,
-                      cost: PerfCost = DEFAULT_COST) -> CostReport:
-    mesh = _quiet_mesh(topology, config)
-    return CostReport(
-        config=config,
-        seq_len=seq_len,
-        component_flops=flops_profile(profile, num_frames, seq_len),
-        comm_bytes=comm_volume(config, profile.spec, seq_len, mesh),
-        iteration_seconds=iteration_time(
-            config, profile, topology, seq_len, num_frames=num_frames, cost=cost
-        ),
-        peak_memory_bytes=peak_memory_per_rank(
-            profile, topology.world_size, config.sp_degree, seq_len, cost=cost
-        ),
-        max_context_tokens=max_context(config, profile, topology.world_size, cost=cost),
-    )

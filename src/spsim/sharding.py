@@ -140,9 +140,6 @@ class ShardPlan:
                 return rank
         raise ValueError(f"chunk {chunk} not assigned")
 
-    def rank_of_position(self, position: int) -> int:
-        return self.rank_of_chunk(position // self.chunk_size)
-
     def shard(self, array: np.ndarray, axis: int = 0) -> list[np.ndarray]:
         """Split a global array (padded length along ``axis``) into rank shards."""
         if array.shape[axis] != self.padded_length:
@@ -211,8 +208,9 @@ def zigzag_shard(padded_length: int, sp_degree: int,
 
 def padded_length_for(length: int, mesh: DeviceMesh) -> int:
     """Least multiple of (2 x ring_degree x a2a_degree) that is >= length."""
-    granule = 2 * mesh.p2p_degree * mesh.a2a_degree
-    return max(granule, ((length + granule - 1) // granule) * granule)
+    from .strategies import padded_length  # strategies imports this module
+
+    return padded_length("zigzag", mesh.sp_degree, length)
 
 
 # ---------------------------------------------------------------------------
@@ -339,34 +337,25 @@ def gather_unshard(plan: ShardPlan, shards, axis: int = 0) -> np.ndarray:
 # Causal workload accounting over chunked plans
 # ---------------------------------------------------------------------------
 
-def _classify_chunk_pair(plan: ShardPlan, q_chunk: int, k_chunk: int) -> str:
-    """Brute-force a (query-chunk, key-chunk) pair: full, partial or masked."""
-    q_pos = plan.chunk_positions(q_chunk)
-    k_pos = plan.chunk_positions(k_chunk)
-    allowed = k_pos[np.newaxis, :] <= q_pos[:, np.newaxis]
-    count = int(allowed.sum())
-    if count == 0:
-        return "masked"
-    if count == allowed.size:
-        return "full"
-    return "partial"
+def _chunk_pair_tally(plan: ShardPlan) -> list[tuple[int, int]]:
+    """Per-rank (full, partial) counts of (query-chunk, key-chunk) pairs.
+
+    Every rank sees every key chunk over the ring.  Chunks are equal and
+    position-ordered, so the class follows from the indices: key chunk kc
+    against query chunk qc is masked when kc > qc and full when kc < qc;
+    the diagonal is partial, except that a one-position chunk is full.
+    """
+    tally = []
+    for chunks in plan.assignments:
+        full = sum(chunks)  # query chunk qc has qc key chunks below it
+        diagonal = len(chunks)
+        tally.append((full + diagonal, 0) if plan.chunk_size == 1 else (full, diagonal))
+    return tally
 
 
 def chunk_pair_counts(plan: ShardPlan) -> list[int]:
-    """Per-rank count of unmasked (query-chunk, key-chunk) pairs.
-
-    Every rank sees every key chunk over the ring, so the count is taken
-    over the rank's query chunks against all chunks of the plan.
-    """
-    counts = []
-    for chunks in plan.assignments:
-        n = 0
-        for qc in chunks:
-            for kc in range(plan.num_chunks):
-                if _classify_chunk_pair(plan, qc, kc) != "masked":
-                    n += 1
-        counts.append(n)
-    return counts
+    """Per-rank count of unmasked (query-chunk, key-chunk) pairs."""
+    return [full + partial for full, partial in _chunk_pair_tally(plan)]
 
 
 def chunk_workload_units(plan: ShardPlan) -> list[int]:
@@ -374,20 +363,10 @@ def chunk_workload_units(plan: ShardPlan) -> list[int]:
 
     A fully unmasked chunk pair costs 2 units, the partially masked diagonal
     pair costs 1, a masked pair costs 0; this makes the contiguous-sharding
-    imbalance exact: rank i carries 2i+1 units.
+    imbalance exact: rank i carries 2i+1 units (2i+2 when every chunk is a
+    single position, whose diagonal pair is full).
     """
-    units = []
-    for chunks in plan.assignments:
-        n = 0
-        for qc in chunks:
-            for kc in range(plan.num_chunks):
-                kind = _classify_chunk_pair(plan, qc, kc)
-                if kind == "full":
-                    n += 2
-                elif kind == "partial":
-                    n += 1
-        units.append(n)
-    return units
+    return [2 * full + partial for full, partial in _chunk_pair_tally(plan)]
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +411,10 @@ def load_samples(path) -> list[SampleSpec]:
 def build_sequences(samples, text_vocab: int = 1024) -> list[MultimodalSequence]:
     """Materialize deterministic multimodal sequences from sample specs.
 
-    Text token ids and frame ids are derived from the sample id alone, so a
-    workload file always replays to the same batch.
+    Text token ids derive from the sample id; frame ids are numbered by a
+    running counter over the samples in file order.  The same workload file
+    always replays to the same batch, but reordering its samples changes
+    the frame ids.
     """
     sequences = []
     next_frame_id = 0

@@ -8,10 +8,10 @@ Four schemes compute the same causal grouped-query attention:
 * 2D hybrid:   all-to-all head sharding inside each group, KV ring across
                groups; the effective degree is the product
 
-All strategies share one blockwise engine, so the degenerate 2D factors
-(a2a=1 or p2p=1) reproduce the pure strategies bitwise.  Every off-rank
-byte lands in the CommLog, which the analytic cost model must match
-exactly.
+All four run one engine, the 2D rank body: the rings are its a2a=1 factor
+and ulysses its p2p=1 factor, so the degenerate 2D factors reproduce the
+pure strategies bitwise.  Every off-rank byte lands in the CommLog, which
+the analytic cost model must match exactly.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .sharding import ShardPlan, contiguous_shard, zigzag_shard
 
 __all__ = [
     "STRATEGY_KINDS",
+    "RING_KINDS",
     "StrategyConfig",
     "StrategyConfigError",
     "StrategyRun",
@@ -40,10 +41,15 @@ __all__ = [
     "attention_2d",
     "execute_strategy",
     "plan_for_strategy",
+    "plan_kind",
+    "plan_granule",
+    "padded_length",
+    "resolve_strategy",
     "effective_kv_heads",
 ]
 
 STRATEGY_KINDS = ("naive_ring", "zigzag_ring", "ulysses", "two_d")
+RING_KINDS = ("naive_ring", "zigzag_ring")
 
 
 class StrategyConfigError(ValueError):
@@ -66,7 +72,7 @@ class StrategyConfig:
             )
         if self.a2a_degree < 1 or self.p2p_degree < 1:
             raise StrategyConfigError("strategy degrees must be >= 1")
-        if self.kind in ("naive_ring", "zigzag_ring") and self.a2a_degree != 1:
+        if self.kind in RING_KINDS and self.a2a_degree != 1:
             raise StrategyConfigError(f"{self.kind} requires a2a_degree == 1")
         if self.kind == "ulysses" and self.p2p_degree != 1:
             raise StrategyConfigError("ulysses requires p2p_degree == 1")
@@ -112,6 +118,58 @@ def effective_kv_heads(spec: AttentionSpec, degree: int, kv_replication: bool) -
     return spec.num_q_heads  # replicated up to the query head count
 
 
+def plan_kind(kind: str) -> str:
+    """Shard plan a strategy kind runs on: contiguous or zigzag."""
+    return "contiguous" if kind in ("naive_ring", "ulysses") else "zigzag"
+
+
+def plan_granule(shard_kind: str, sp: int) -> int:
+    """Token multiple a plan's length needs: one chunk per rank, or two for zigzag."""
+    return sp if shard_kind == "contiguous" else 2 * sp
+
+
+def padded_length(shard_kind: str, sp: int, length: int) -> int:
+    """Least multiple of the plan granule that is >= length, and at least one granule."""
+    granule = plan_granule(shard_kind, sp)
+    return max(granule, -(-length // granule) * granule)
+
+
+def resolve_strategy(spec: AttentionSpec, world: int, kind: str | None = None,
+                     a2a: int = 0, p2p: int = 0,
+                     kv_replication: bool | None = None) -> StrategyConfig:
+    """The valid StrategyConfig that factors ``world`` ranks as (a2a, p2p).
+
+    Ring kinds fix a2a at 1 and ulysses fixes p2p at 1; a degree left at 0
+    is the world divided by the other (a2a alone defaults to the world).
+    Without a kind the degrees name it: a group of one is the zigzag ring,
+    a ring of one is ulysses, anything else is two_d.  With
+    ``kv_replication`` None, replication is turned on only when the heads
+    require it.  Raises StrategyConfigError when the degrees do not factor
+    the world, or with the last attempt's error when the heads allow none.
+    """
+    if kind in RING_KINDS:
+        a2a = 1
+    elif kind == "ulysses":
+        p2p = 1
+    a2a = a2a or max(1, world // (p2p or 1))
+    p2p = p2p or max(1, world // a2a)
+    if a2a * p2p != world:
+        raise StrategyConfigError(
+            f"a2a {a2a} x p2p {p2p} = {a2a * p2p} does not match world size {world}"
+        )
+    if kind is None:
+        kind = "zigzag_ring" if a2a == 1 else "ulysses" if p2p == 1 else "two_d"
+    error = None
+    for replication in (False, True) if kv_replication is None else (kv_replication,):
+        config = StrategyConfig(kind, a2a, p2p, replication)
+        try:
+            config.validate_heads(spec)
+            return config
+        except StrategyConfigError as exc:
+            error = exc
+    raise error
+
+
 def _replicate_kv(kv: np.ndarray, spec: AttentionSpec) -> np.ndarray:
     """Duplicate each KV head group_size times (pre-A2A replication)."""
     return np.repeat(kv, spec.group_size, axis=0)
@@ -132,7 +190,7 @@ class StrategyRun:
 
 
 # ---------------------------------------------------------------------------
-# Shared blockwise ring engine
+# Shared blockwise engine
 # ---------------------------------------------------------------------------
 
 def _ring_pass(handle, ring_group, q, k, v, q_pos, kv_positions_of):
@@ -156,6 +214,57 @@ def _ring_pass(handle, ring_group, q, k, v, q_pos, kv_positions_of):
     return finalize_attention(state)
 
 
+def _head_slices(total: int, parts: int):
+    width = total // parts
+    return [slice(i * width, (i + 1) * width) for i in range(parts)]
+
+
+def attention_rank_body(handle, mesh, plan, spec, q, k, v, kv_replication):
+    """One rank of every strategy: head-shard, ring the KV, un-shard.
+
+    The a2a group trades sequence sharding for head sharding, the ring
+    group rotates KV across groups.  At a2a degree 1 this is the plain KV
+    ring over the rank's own plan positions.
+    """
+    a2a_group = mesh.a2a_group_of(handle.rank)
+    ring_group = mesh.p2p_group_of(handle.rank)
+    degree = len(a2a_group)
+    if degree == 1:
+        return _ring_pass(handle, ring_group, q, k, v, plan.rank_positions(handle.rank),
+                          plan.rank_positions)
+    effective_kv = effective_kv_heads(spec, degree, kv_replication)
+    if effective_kv != k.shape[0]:
+        k = _replicate_kv(k, spec)
+        v = _replicate_kv(v, spec)
+    q_cuts = _head_slices(spec.num_q_heads, degree)
+    kv_cuts = _head_slices(effective_kv, degree)
+    shards = [(q[q_cuts[j]], k[kv_cuts[j]], v[kv_cuts[j]]) for j in range(degree)]
+    received = handle.all_to_all(a2a_group, shards)
+    q_seg = np.concatenate([part[0] for part in received], axis=1)
+    k_seg = np.concatenate([part[1] for part in received], axis=1)
+    v_seg = np.concatenate([part[2] for part in received], axis=1)
+    raw_positions = np.concatenate(
+        [plan.rank_positions(member) for member in a2a_group]
+    )
+    order = np.argsort(raw_positions)
+    q_seg, k_seg, v_seg = q_seg[:, order], k_seg[:, order], v_seg[:, order]
+    positions = raw_positions[order]
+
+    def segment_positions(ring_member):
+        group = mesh.a2a_group_of(ring_member)
+        return np.sort(np.concatenate([plan.rank_positions(m) for m in group]))
+
+    out_seg = _ring_pass(handle, ring_group, q_seg, k_seg, v_seg, positions, segment_positions)
+
+    # Route each member's rows back (in its own plan-local order) and restack heads.
+    out_shards = []
+    for member in a2a_group:
+        rows = np.searchsorted(positions, plan.rank_positions(member))
+        out_shards.append(out_seg[:, rows])
+    returned = handle.all_to_all(a2a_group, out_shards)
+    return np.concatenate(returned, axis=0)
+
+
 def _check_shards(plan: ShardPlan, shards, name: str, heads: int, head_dim: int) -> None:
     if len(shards) != plan.sp_degree:
         raise ValueError(f"{name}: expected {plan.sp_degree} shards, got {len(shards)}")
@@ -167,103 +276,55 @@ def _check_shards(plan: ShardPlan, shards, name: str, heads: int, head_dim: int)
             )
 
 
-def _check_mesh(mesh: DeviceMesh, plan: ShardPlan) -> None:
+_PLAN_KIND_ERRORS = {
+    "naive_ring": "expected a contiguous plan, got {!r}",
+    "zigzag_ring": "expected a zigzag plan, got {!r}",
+    "ulysses": "ulysses operates on contiguous sequence shards",
+    "two_d": "attention_2d requires a zigzag plan",
+}
+
+
+def _run_attention(kind, mesh, plan, q_shards, k_shards, v_shards, spec,
+                   kv_replication=False, fault=None):
+    """Check the mesh, plan, heads and shards once, then run every rank."""
+    if kind in RING_KINDS and mesh.a2a_degree != 1:
+        raise ValueError(f"{kind} requires a mesh with a2a_degree == 1")
+    if kind == "ulysses" and (mesh.p2p_degree != 1 or mesh.a2a_degree != mesh.world_size):
+        raise ValueError("ulysses requires a mesh with p2p_degree == 1 spanning the world")
+    if plan.kind != plan_kind(kind):
+        raise ValueError(_PLAN_KIND_ERRORS[kind].format(plan.kind))
     if mesh.world_size != plan.sp_degree or mesh.sp_degree != plan.sp_degree:
         raise ValueError(
             f"mesh (world {mesh.world_size}, sp {mesh.sp_degree}) does not match "
             f"plan sp_degree {plan.sp_degree}"
         )
-
-
-# ---------------------------------------------------------------------------
-# Pure ring strategies
-# ---------------------------------------------------------------------------
-
-def _run_ring(mesh, plan, q_shards, k_shards, v_shards, spec, expected_kind, fault=None):
-    if plan.kind != expected_kind:
-        raise ValueError(f"expected a {expected_kind} plan, got {plan.kind!r}")
-    _check_mesh(mesh, plan)
+    effective_kv_heads(spec, mesh.a2a_degree, kv_replication)
     _check_shards(plan, q_shards, "q", spec.num_q_heads, spec.head_dim)
     _check_shards(plan, k_shards, "k", spec.num_kv_heads, spec.head_dim)
     _check_shards(plan, v_shards, "v", spec.num_kv_heads, spec.head_dim)
-    ring = tuple(range(plan.sp_degree))
 
     def program(handle):
         rank = handle.rank
-        return _ring_pass(
-            handle,
-            ring,
-            q_shards[rank],
-            k_shards[rank],
-            v_shards[rank],
-            plan.rank_positions(rank),
-            plan.rank_positions,
-        )
+        return attention_rank_body(handle, mesh, plan, spec, q_shards[rank],
+                                   k_shards[rank], v_shards[rank], kv_replication)
 
     return run_program(mesh, program, fault=fault)
 
 
+# ---------------------------------------------------------------------------
+# The four strategies: degenerate factors of the 2D hybrid
+# ---------------------------------------------------------------------------
+
 def ring_attention(mesh, plan, q_shards, k_shards, v_shards, spec, fault=None):
     """Naive ring: contiguous chunks, P-1 KV hops, causally imbalanced."""
-    return _run_ring(mesh, plan, q_shards, k_shards, v_shards, spec, "contiguous", fault)
+    return _run_attention("naive_ring", mesh, plan, q_shards, k_shards, v_shards, spec,
+                          fault=fault)
 
 
 def zigzag_ring_attention(mesh, plan, q_shards, k_shards, v_shards, spec, fault=None):
     """Balanced ring: each rank holds one chunk from each end of the sequence."""
-    return _run_ring(mesh, plan, q_shards, k_shards, v_shards, spec, "zigzag", fault)
-
-
-# ---------------------------------------------------------------------------
-# All-to-all head sharding (and the 2D hybrid built on it)
-# ---------------------------------------------------------------------------
-
-def _head_slices(total: int, parts: int):
-    width = total // parts
-    return [slice(i * width, (i + 1) * width) for i in range(parts)]
-
-
-def attention_rank_body(handle, mesh, plan, spec, q, k, v, kv_replication):
-    """Shared body of ulysses and 2D: head-shard, attend, un-shard."""
-    a2a_group = mesh.a2a_group_of(handle.rank)
-    ring_group = mesh.p2p_group_of(handle.rank)
-    degree = len(a2a_group)
-    effective_kv = effective_kv_heads(spec, degree, kv_replication)
-    if effective_kv != k.shape[0]:
-        k = _replicate_kv(k, spec)
-        v = _replicate_kv(v, spec)
-    if degree > 1:
-        q_cuts = _head_slices(spec.num_q_heads, degree)
-        kv_cuts = _head_slices(effective_kv, degree)
-        shards = [(q[q_cuts[j]], k[kv_cuts[j]], v[kv_cuts[j]]) for j in range(degree)]
-        received = handle.all_to_all(a2a_group, shards)
-        q_seg = np.concatenate([part[0] for part in received], axis=1)
-        k_seg = np.concatenate([part[1] for part in received], axis=1)
-        v_seg = np.concatenate([part[2] for part in received], axis=1)
-        raw_positions = np.concatenate(
-            [plan.rank_positions(member) for member in a2a_group]
-        )
-        order = np.argsort(raw_positions)
-        q_seg, k_seg, v_seg = q_seg[:, order], k_seg[:, order], v_seg[:, order]
-        positions = raw_positions[order]
-    else:
-        q_seg, k_seg, v_seg = q, k, v
-        positions = plan.rank_positions(handle.rank)
-
-    def segment_positions(ring_member):
-        group = mesh.a2a_group_of(ring_member)
-        return np.sort(np.concatenate([plan.rank_positions(m) for m in group]))
-
-    out_seg = _ring_pass(handle, ring_group, q_seg, k_seg, v_seg, positions, segment_positions)
-
-    if degree == 1:
-        return out_seg
-    # Route each member's rows back (in its own plan-local order) and restack heads.
-    out_shards = []
-    for member in a2a_group:
-        rows = np.searchsorted(positions, plan.rank_positions(member))
-        out_shards.append(out_seg[:, rows])
-    returned = handle.all_to_all(a2a_group, out_shards)
-    return np.concatenate(returned, axis=0)
+    return _run_attention("zigzag_ring", mesh, plan, q_shards, k_shards, v_shards, spec,
+                          fault=fault)
 
 
 def ulysses_attention(mesh, q_shards, k_shards, v_shards, spec,
@@ -276,27 +337,9 @@ def ulysses_attention(mesh, q_shards, k_shards, v_shards, spec,
     exchange restores sequence sharding.  The degree is capped by the head
     counts: KV heads without replication, query heads with it.
     """
-    if mesh.p2p_degree != 1 or mesh.a2a_degree != mesh.world_size:
-        raise ValueError("ulysses requires a mesh with p2p_degree == 1 spanning the world")
-    degree = mesh.a2a_degree
-    effective_kv_heads(spec, degree, kv_replication)
-    if plan is None:
-        plan = contiguous_shard(q_shards[0].shape[1] * degree, degree)
-    if plan.kind != "contiguous":
-        raise ValueError("ulysses operates on contiguous sequence shards")
-    _check_mesh(mesh, plan)
-    _check_shards(plan, q_shards, "q", spec.num_q_heads, spec.head_dim)
-    _check_shards(plan, k_shards, "k", spec.num_kv_heads, spec.head_dim)
-    _check_shards(plan, v_shards, "v", spec.num_kv_heads, spec.head_dim)
-
-    def program(handle):
-        rank = handle.rank
-        return attention_rank_body(
-            handle, mesh, plan, spec,
-            q_shards[rank], k_shards[rank], v_shards[rank], kv_replication,
-        )
-
-    return run_program(mesh, program, fault=fault)
+    plan = plan or contiguous_shard(q_shards[0].shape[1] * mesh.a2a_degree, mesh.a2a_degree)
+    return _run_attention("ulysses", mesh, plan, q_shards, k_shards, v_shards, spec,
+                          kv_replication, fault)
 
 
 def attention_2d(mesh, plan, q_shards, k_shards, v_shards, spec,
@@ -308,22 +351,8 @@ def attention_2d(mesh, plan, q_shards, k_shards, v_shards, spec,
     balanced.  With a2a_degree == 1 this is exactly the zigzag ring; with
     p2p_degree == 1 it is exactly ulysses.
     """
-    if plan.kind != "zigzag":
-        raise ValueError("attention_2d requires a zigzag plan")
-    _check_mesh(mesh, plan)
-    effective_kv_heads(spec, mesh.a2a_degree, kv_replication)
-    _check_shards(plan, q_shards, "q", spec.num_q_heads, spec.head_dim)
-    _check_shards(plan, k_shards, "k", spec.num_kv_heads, spec.head_dim)
-    _check_shards(plan, v_shards, "v", spec.num_kv_heads, spec.head_dim)
-
-    def program(handle):
-        rank = handle.rank
-        return attention_rank_body(
-            handle, mesh, plan, spec,
-            q_shards[rank], k_shards[rank], v_shards[rank], kv_replication,
-        )
-
-    return run_program(mesh, program, fault=fault)
+    return _run_attention("two_d", mesh, plan, q_shards, k_shards, v_shards, spec,
+                          kv_replication, fault)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +361,7 @@ def attention_2d(mesh, plan, q_shards, k_shards, v_shards, spec,
 
 def plan_for_strategy(config: StrategyConfig, length: int) -> ShardPlan:
     """The shard plan a strategy runs on, for an already-divisible length."""
-    if config.kind in ("naive_ring", "ulysses"):
+    if plan_kind(config.kind) == "contiguous":
         return contiguous_shard(length, config.sp_degree)
     return zigzag_shard(length, config.sp_degree)
 
@@ -343,12 +372,15 @@ def execute_strategy(mesh: DeviceMesh, config: StrategyConfig, spec: AttentionSp
     """Shard global q/k/v per the strategy's plan, run it, return the result.
 
     Inputs are global (heads, length, head_dim) arrays whose length already
-    divides the plan granularity (2 x sp for zigzag plans, sp otherwise).
+    divides the plan granule.  The mesh must have the config's (a2a, p2p)
+    factorisation and span the world.
     """
-    if config.sp_degree != mesh.sp_degree or mesh.world_size != mesh.sp_degree:
+    if ((config.a2a_degree, config.p2p_degree) != (mesh.a2a_degree, mesh.p2p_degree)
+            or mesh.world_size != mesh.sp_degree):
         raise ValueError(
-            f"strategy {config.kind} (sp {config.sp_degree}) does not match mesh "
-            f"(world {mesh.world_size}, a2a {mesh.a2a_degree}, p2p {mesh.p2p_degree})"
+            f"strategy {config.kind} (a2a {config.a2a_degree}, p2p {config.p2p_degree}) "
+            f"does not match mesh (world {mesh.world_size}, a2a {mesh.a2a_degree}, "
+            f"p2p {mesh.p2p_degree})"
         )
     config.validate_heads(spec)
     plan = plan_for_strategy(config, q.shape[1])

@@ -30,11 +30,27 @@ class TestConfigHandling:
         assert run_cli("plan", "--config", cfg) == 2
         assert "unknown key 'scenario.modle'" in capsys.readouterr().err
 
-    def test_corrupted_strategy_kind_names_the_key(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"strategy": {"kind": "ringg"}})
-        assert run_cli("plan", "--config", cfg) == 2
-        err = capsys.readouterr().err
-        assert "strategy.kind" in err and "ringg" in err
+    @pytest.mark.parametrize("payload,needles", [
+        pytest.param({"strategy": {"kind": "ringg"}}, ("strategy.kind", "ringg"),
+                     id="strategy-kind"),
+        pytest.param({"strategy": {"kind": "two_d", "a2a": 3}},
+                     ("strategy:", "a2a 3 x p2p 5", "world size 16"), id="a2a-not-factor"),
+        pytest.param({"strategy": {"kind": "ulysses", "a2a": 16}},
+                     ("strategy:", "degree 16 exceeds 8 KV heads"), id="a2a-over-kv-heads"),
+        pytest.param({"seed": "x"}, ("seed:", "'x'"), id="seed-string"),
+        pytest.param({"workload": {"frames": "2.5"}}, ("workload.frames:", "'2.5'"),
+                     id="frames-string"),
+        pytest.param({"workload": {"frames": -3}}, ("workload.frames:", ">= 0"),
+                     id="frames-negative"),
+        pytest.param({"strategy": {"kv_replication": "false"}},
+                     ("strategy.kv_replication:", "'false'"), id="kv-replication-string"),
+    ])
+    def test_invalid_value_names_the_key(self, tmp_path, capsys, payload, needles):
+        cfg = write_config(tmp_path, payload)
+        for command in ("verify", "simulate", "plan", "infer"):
+            assert run_cli(command, "--config", cfg) == 2, command
+            err = capsys.readouterr().err
+            assert all(needle in err for needle in needles), (command, err)
 
     def test_invalid_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
 """Analytic performance model: calibration, comm volumes, trends, planner."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from spsim.perf import (
     model_profile,
     plan,
     reference_rows,
+    strategy_messages,
     two_stage_gain,
     volume_total,
 )
@@ -120,6 +123,8 @@ class TestCommVolume:
         StrategyConfig("zigzag_ring", p2p_degree=4),
         StrategyConfig("ulysses", a2a_degree=4),
         StrategyConfig("two_d", a2a_degree=2, p2p_degree=2),
+        StrategyConfig("two_d", a2a_degree=4, p2p_degree=2),
+        StrategyConfig("ulysses", a2a_degree=8, kv_replication=True),
     ])
     def test_analytic_bytes_equal_executed_bytes(self, cfg):
         rng = np.random.default_rng(42)
@@ -128,13 +133,15 @@ class TestCommVolume:
         q = rng.standard_normal((spec.num_q_heads, length, spec.head_dim))
         k = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
         v = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
-        mesh = self.exec_mesh(4, cfg.a2a_degree)
+        mesh = self.exec_mesh(cfg.sp_degree, cfg.a2a_degree)
         run = execute_strategy(mesh, cfg, spec, q, k, v)
         predicted = comm_volume(cfg, spec, length, mesh)
         for kind in ("p2p", "a2a"):
             for link in ("intra", "inter"):
                 assert volume_total(predicted, kind, link) == \
                     run.log.total_bytes(kind=kind, link=link), (cfg.kind, kind, link)
+        executed = Counter((r.src, r.dst, r.nbytes, r.kind) for r in run.log.records)
+        assert executed == Counter(strategy_messages(cfg, spec, length, mesh))
 
     def test_kv_replication_bytes_match_execution(self):
         spec = AttentionSpec(num_q_heads=8, num_kv_heads=2, head_dim=16)

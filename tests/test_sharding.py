@@ -159,12 +159,17 @@ class TestZigzagPlan:
         plan = zigzag_shard(8 * sp, sp)
         assert chunk_pair_counts(plan) == [2 * sp + 1] * sp
 
-    @pytest.mark.parametrize("sp", [2, 4, 8])
-    def test_contiguous_workload_ratio_2p_minus_1(self, sp):
-        plan = contiguous_shard(8 * sp, sp)
+    @pytest.mark.parametrize("sp,chunk,expected,ratio", [
+        *(pytest.param(sp, 8, [2 * r + 1 for r in range(sp)], 2 * sp - 1, id=str(sp))
+          for sp in (2, 4, 8)),
+        # single-position chunks: the diagonal pair is fully unmasked
+        pytest.param(4, 1, [2, 4, 6, 8], 4, id="chunk1"),
+    ])
+    def test_contiguous_workload_ratio_2p_minus_1(self, sp, chunk, expected, ratio):
+        plan = contiguous_shard(chunk * sp, sp)
         units = chunk_workload_units(plan)
-        assert units == [2 * r + 1 for r in range(sp)]
-        assert max(units) == (2 * sp - 1) * min(units)
+        assert units == expected
+        assert max(units) == ratio * min(units)
 
     @pytest.mark.parametrize("sp", [2, 4, 8])
     def test_zigzag_workload_units_equal(self, sp):

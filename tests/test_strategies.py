@@ -278,9 +278,21 @@ class TestPlanForStrategy:
         assert plan_for_strategy(StrategyConfig("zigzag_ring", p2p_degree=4), 32).kind == "zigzag"
         assert plan_for_strategy(StrategyConfig("two_d", a2a_degree=2, p2p_degree=2), 32).kind == "zigzag"
 
-    def test_mesh_plan_mismatch_rejected(self):
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("mesh,config,spec", [
+        pytest.param(sp_mesh(4), StrategyConfig("zigzag_ring", p2p_degree=2), SPEC,
+                     id="sp2-on-sp4"),
+        # same sp degree, other factorisation: must not silently run the mesh's
+        pytest.param(build_mesh(Topology(num_nodes=2, gpus_per_node=4), 2, 4),
+                     StrategyConfig("two_d", a2a_degree=4, p2p_degree=2),
+                     AttentionSpec(num_q_heads=8, num_kv_heads=4, head_dim=8),
+                     id="two_d-4x2-on-2x4"),
+        pytest.param(build_mesh(Topology(num_nodes=2, gpus_per_node=4), 2, 4),
+                     StrategyConfig("zigzag_ring", p2p_degree=8), SPEC,
+                     id="zigzag-8-on-2x4"),
+    ])
+    def test_mesh_plan_mismatch_rejected(self, mesh, config, spec):
         rng = np.random.default_rng(13)
-        q, k, v = random_qkv(rng, SPEC, 32)
+        q, k, v = random_qkv(rng, spec, 32)
         with pytest.raises(ValueError, match="does not match mesh"):
-            execute_strategy(sp_mesh(4), StrategyConfig("zigzag_ring", p2p_degree=2),
-                             SPEC, q, k, v)
+            execute_strategy(mesh, config, spec, q, k, v)
