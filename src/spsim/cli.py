@@ -20,7 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, perf
-from .fabric import FaultInjection, Topology, build_mesh, topology_from_dict
+from .fabric import (
+    DEFAULT_INTER_BW,
+    DEFAULT_INTER_LATENCY,
+    DEFAULT_INTRA_BW,
+    DEFAULT_INTRA_LATENCY,
+    FaultInjection,
+    Topology,
+    build_mesh,
+)
 from .inference import pipeline_baseline, sp_inference_report
 from .numeric import reference_attention
 from .sharding import load_samples
@@ -49,10 +57,38 @@ class ConfigError(ValueError):
 # Scenario configuration
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"topology", "model", "strategy", "workload", "seed", "out",
-             "inject_fault_message"}
-_STRATEGY_KEYS = {"kind", "a2a", "p2p", "kv_replication"}
-_WORKLOAD_KEYS = {"seq_len", "frames", "tokens_per_frame", "samples_file"}
+# Every scenario key: path -> (type, limit, default).  The limit is a bound
+# (">= n" or "> n") or the tuple of allowed values; an integer must be a JSON
+# integer and a number (float) must be finite.  Null is accepted only for the
+# keys in _NULLABLE, whose default is null.  Without a seq_len each command
+# uses its own default length.
+SCENARIO_KEYS = {
+    "topology.nodes": (int, ">= 1", 2),
+    "topology.gpus_per_node": (int, ">= 1", 8),
+    "topology.intra_bw_gbps": (float, "> 0", DEFAULT_INTRA_BW / 1e9),
+    "topology.inter_bw_gbps": (float, "> 0", DEFAULT_INTER_BW / 1e9),
+    "topology.latency_us_intra": (float, ">= 0", DEFAULT_INTRA_LATENCY * 1e6),
+    "topology.latency_us_inter": (float, ">= 0", DEFAULT_INTER_LATENCY * 1e6),
+    "model": (str, perf.PROFILE_NAMES, "8b"),
+    "strategy.kind": (str, STRATEGY_KINDS, "two_d"),
+    "strategy.a2a": (int, ">= 0", 0),
+    "strategy.p2p": (int, ">= 0", 0),
+    "strategy.kv_replication": (bool, None, False),
+    "workload.seq_len": (int, ">= 1", None),
+    "workload.frames": (int, ">= 0", 0),
+    "workload.tokens_per_frame": (int, ">= 1", 256),
+    "workload.samples_file": (str, None, None),
+    "seed": (int, ">= 0", 0),
+    "out": (str, None, None),
+    "inject_fault_message": (int, ">= 0", None),
+}
+_NULLABLE = {"workload.samples_file", "out", "inject_fault_message"}
+_SECTIONS = ("topology", "strategy", "workload")
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a path"}
+# Command-line flag (argparse dest) -> the scenario key it overrides.
+_FLAG_KEYS = {"seed": "seed", "out": "out", "strategy": "strategy.kind",
+              "a2a": "strategy.a2a", "p2p": "strategy.p2p", "seq_len": "workload.seq_len"}
 
 
 @dataclass
@@ -60,8 +96,7 @@ class Scenario:
     topology: Topology
     model: str
     strategy: StrategyConfig
-    seq_len: int
-    seq_len_explicit: bool
+    seq_len: int | None  # None: the command's default length
     frames: int
     tokens_per_frame: int
     samples_file: str | None
@@ -70,54 +105,44 @@ class Scenario:
     inject_fault_message: int | None
 
 
-def _reject_unknown(mapping: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key '{path}.{unknown[0]}'")
+def _has_type(kind: type, value) -> bool:
+    # bool is a subclass of int: true/false fit only a bool key.
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _check(path: str, value):
+    """Return ``value`` if it is valid for the scenario key ``path``."""
+    kind, limit, _default = SCENARIO_KEYS[path]
+    if value is None and path in _NULLABLE:
+        return value
+    if isinstance(limit, tuple):
+        if value not in limit:
+            raise ConfigError(f"{path}: must be one of {', '.join(limit)}, got {value!r}")
+        return value
+    if not _has_type(kind, value):
+        raise ConfigError(f"{path}: must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if limit is not None:
+        op, bound = limit.split()
+        if not (value > float(bound) if op == ">" else value >= float(bound)):
+            raise ConfigError(f"{path}: must be {limit}, got {value}")
+    return value
 
 
 def _auto_a2a(topology: Topology, model: str) -> int:
     spec = perf.model_profile(model).spec
     best = 1
-    for degree in range(1, min(topology.gpus_per_node, topology.world_size) + 1):
+    for degree in range(1, min(topology.gpus_per_node, topology.world_size,
+                               spec.num_kv_heads) + 1):
         if topology.world_size % degree != 0:
             continue
         if spec.num_kv_heads % degree != 0:
             continue
         best = degree
     return best
-
-
-def _int(value, path: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _strategy_from_config(cfg: dict, topology: Topology, model: str) -> StrategyConfig:
-    _reject_unknown(cfg, _STRATEGY_KEYS, "strategy")
-    kind = cfg.get("kind", "two_d")
-    if kind not in STRATEGY_KINDS:
-        raise ConfigError(
-            f"strategy.kind: unknown strategy {kind!r} "
-            f"(expected one of {', '.join(STRATEGY_KINDS)})"
-        )
-    a2a = _int(cfg.get("a2a", 0), "strategy.a2a", 0)
-    p2p = _int(cfg.get("p2p", 0), "strategy.p2p", 0)
-    kv_replication = cfg.get("kv_replication", False)
-    if not isinstance(kv_replication, bool):
-        raise ConfigError(
-            f"strategy.kv_replication: must be true or false, got {kv_replication!r}"
-        )
-    if kind == "two_d" and not a2a and not p2p:
-        a2a = _auto_a2a(topology, model)
-    try:
-        return resolve_strategy(perf.model_profile(model).spec, topology.world_size,
-                                kind, a2a, p2p, kv_replication)
-    except StrategyConfigError as exc:
-        raise ConfigError(f"strategy: {exc}") from exc
 
 
 def load_scenario(path: str | None, overrides: argparse.Namespace) -> Scenario:
@@ -132,74 +157,55 @@ def load_scenario(path: str | None, overrides: argparse.Namespace) -> Scenario:
             raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be an object")
-    _reject_unknown(raw, _TOP_KEYS, "scenario")
+    given = {}
+    for section in ("scenario",) + _SECTIONS:
+        mapping = raw if section == "scenario" else raw.get(section, {})
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"{section}: must be an object")
+        prefix = "" if section == "scenario" else section + "."
+        for key, value in mapping.items():
+            if section == "scenario" and key in _SECTIONS:
+                continue
+            if "." in key or prefix + key not in SCENARIO_KEYS:
+                raise ConfigError(f"unknown key '{section}.{key}'")
+            given[prefix + key] = value
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(overrides, flag, None) is not None:
+            given[key] = getattr(overrides, flag)
+    cfg = {
+        key: _check(key, given[key]) if key in given else default
+        for key, (_kind, _limit, default) in SCENARIO_KEYS.items()
+    }
 
-    topo_cfg = raw.get("topology", {})
-    if not isinstance(topo_cfg, dict):
-        raise ConfigError("topology: must be an object")
+    topology = Topology(
+        num_nodes=cfg["topology.nodes"],
+        gpus_per_node=cfg["topology.gpus_per_node"],
+        intra_node_bandwidth=float(cfg["topology.intra_bw_gbps"]) * 1e9,
+        inter_node_bandwidth=float(cfg["topology.inter_bw_gbps"]) * 1e9,
+        intra_node_latency=float(cfg["topology.latency_us_intra"]) * 1e-6,
+        inter_node_latency=float(cfg["topology.latency_us_inter"]) * 1e-6,
+    )
+    model = cfg["model"]
+    kind, a2a, p2p = cfg["strategy.kind"], cfg["strategy.a2a"], cfg["strategy.p2p"]
+    if kind == "two_d" and not a2a and not p2p:
+        a2a = _auto_a2a(topology, model)
     try:
-        topology = topology_from_dict({
-            "nodes": 2, "gpus_per_node": 8, **topo_cfg,
-        })
-    except ValueError as exc:
-        raise ConfigError(f"topology: {exc}") from exc
-
-    model = raw.get("model", "8b")
-    if model not in perf.PROFILE_NAMES:
-        raise ConfigError(
-            f"model: unknown model profile {model!r}; "
-            f"available: {', '.join(perf.PROFILE_NAMES)}"
-        )
-
-    workload = raw.get("workload", {})
-    if not isinstance(workload, dict):
-        raise ConfigError("workload: must be an object")
-    _reject_unknown(workload, _WORKLOAD_KEYS, "workload")
-
-    strategy_cfg = raw.get("strategy", {})
-    if not isinstance(strategy_cfg, dict):
-        raise ConfigError("strategy: must be an object")
-
-    seed = overrides.seed if overrides.seed is not None else raw.get("seed", 0)
-    seed = _int(seed, "seed", 0)
-    seq_len_explicit = (
-        getattr(overrides, "seq_len", None) is not None or "seq_len" in workload
-    )
-    seq_len = (
-        overrides.seq_len
-        if getattr(overrides, "seq_len", None) is not None
-        else workload.get("seq_len", 192)
-    )
-    seq_len = _int(seq_len, "workload.seq_len", 1)
-    samples_file = workload.get("samples_file")
-    if samples_file is not None and not isinstance(samples_file, str):
-        raise ConfigError(f"workload.samples_file: must be a path, got {samples_file!r}")
-    out = overrides.out if overrides.out is not None else raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"out: must be a path, got {out!r}")
-    fault = raw.get("inject_fault_message")
-    if fault is not None:
-        fault = _int(fault, "inject_fault_message", 0)
-
-    for key, value in (("kind", overrides.strategy), ("a2a", overrides.a2a),
-                       ("p2p", overrides.p2p)):
-        if value is not None:
-            strategy_cfg = {**strategy_cfg, key: value}
-    strategy = _strategy_from_config(strategy_cfg, topology, model)
+        strategy = resolve_strategy(perf.model_profile(model).spec, topology.world_size,
+                                    kind, a2a, p2p, cfg["strategy.kv_replication"])
+    except StrategyConfigError as exc:
+        raise ConfigError(f"strategy: {exc}") from exc
 
     return Scenario(
         topology=topology,
         model=model,
         strategy=strategy,
-        seq_len=seq_len,
-        seq_len_explicit=seq_len_explicit,
-        frames=_int(workload.get("frames", 0), "workload.frames", 0),
-        tokens_per_frame=_int(workload.get("tokens_per_frame", 256),
-                              "workload.tokens_per_frame", 1),
-        samples_file=samples_file,
-        seed=seed,
-        out=out,
-        inject_fault_message=fault,
+        seq_len=cfg["workload.seq_len"],
+        frames=cfg["workload.frames"],
+        tokens_per_frame=cfg["workload.tokens_per_frame"],
+        samples_file=cfg["workload.samples_file"],
+        seed=cfg["seed"],
+        out=cfg["out"],
+        inject_fault_message=cfg["inject_fault_message"],
     )
 
 
@@ -268,7 +274,8 @@ def verification_strategies(scenario: Scenario) -> list[StrategyConfig]:
 
 def _verify_length(scenario: Scenario) -> int:
     granule = plan_granule("zigzag", scenario.topology.world_size)  # suits every kind
-    return max(granule, scenario.seq_len - scenario.seq_len % granule)
+    seq_len = scenario.seq_len or 192
+    return max(granule, seq_len - seq_len % granule)
 
 
 def cmd_verify(scenario: Scenario) -> int:
@@ -276,42 +283,47 @@ def cmd_verify(scenario: Scenario) -> int:
     world = scenario.topology.world_size
     length = _verify_length(scenario)
     configs = verification_strategies(scenario)
-    rows = []
+    rows_of = [[] for _ in configs]  # per strategy, so the CSV stays config-major
     failures = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for cfg in configs:
-            mesh = build_mesh(scenario.topology, cfg.a2a_degree, cfg.p2p_degree)
-            for seed_index in range(VERIFY_SEEDS):
-                rng = np.random.default_rng([scenario.seed, seed_index])
-                q = rng.standard_normal((spec.num_q_heads, length, spec.head_dim))
-                k = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
-                v = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
+        meshes = [build_mesh(scenario.topology, cfg.a2a_degree, cfg.p2p_degree)
+                  for cfg in configs]
+        predicted = [perf.comm_volume(cfg, spec, length, mesh)
+                     for cfg, mesh in zip(configs, meshes)]
+        for seed_index in range(VERIFY_SEEDS):
+            rng = np.random.default_rng([scenario.seed, seed_index])
+            q = rng.standard_normal((spec.num_q_heads, length, spec.head_dim))
+            k = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
+            v = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
+            oracle = reference_attention(q, k, v, spec)
+            for index, (cfg, mesh) in enumerate(zip(configs, meshes)):
                 fault = None
-                if scenario.inject_fault_message is not None and cfg == configs[0]:
+                if scenario.inject_fault_message is not None and index == 0:
                     fault = FaultInjection(scenario.inject_fault_message)
                 run = execute_strategy(mesh, cfg, spec, q, k, v, fault=fault)
-                oracle = reference_attention(q, k, v, spec)
                 diff = float(np.max(np.abs(run.gathered() - oracle)))
                 ok = diff < ORACLE_TOLERANCE
                 detail = ""
                 if run.log.tampered:
                     src, _dst, step, _idx = run.log.tampered[0]
                     detail = f"tampered message from rank {src} at step {step}"
-                rows.append(("oracle", cfg.kind, cfg.a2a_degree, cfg.p2p_degree,
-                             seed_index, "pass" if ok else "FAIL", diff, detail))
+                rows_of[index].append((
+                    "oracle", cfg.kind, cfg.a2a_degree, cfg.p2p_degree,
+                    seed_index, "pass" if ok else "FAIL", diff, detail))
                 failures += 0 if ok else 1
 
-                predicted = perf.comm_volume(cfg, spec, length, mesh)
                 bytes_ok = all(
-                    perf.volume_total(predicted, kind, link)
+                    perf.volume_total(predicted[index], kind, link)
                     == run.log.total_bytes(kind=kind, link=link)
                     for kind in ("p2p", "a2a")
                     for link in ("intra", "inter")
                 )
-                rows.append(("comm_model", cfg.kind, cfg.a2a_degree, cfg.p2p_degree,
-                             seed_index, "pass" if bytes_ok else "FAIL", 0.0, ""))
+                rows_of[index].append((
+                    "comm_model", cfg.kind, cfg.a2a_degree, cfg.p2p_degree,
+                    seed_index, "pass" if bytes_ok else "FAIL", 0.0, ""))
                 failures += 0 if bytes_ok else 1
+    rows = [row for config_rows in rows_of for row in config_rows]
     header = ("check", "strategy", "a2a", "p2p", "seed", "status", "max_abs_diff",
               "detail")
     emit_csv(scenario.out, header, rows, scenario.seed)
@@ -422,7 +434,7 @@ def cmd_profile(scenario: Scenario, model_name: str | None) -> int:
 
 def cmd_plan(scenario: Scenario) -> int:
     profile = perf.model_profile(scenario.model)
-    seq = scenario.seq_len if scenario.seq_len_explicit else 131072
+    seq = scenario.seq_len or 131072
     chosen = perf.plan(scenario.topology, profile, seq)
     predicted = perf.iteration_time(chosen, profile, scenario.topology, seq)
     lines = [
@@ -442,7 +454,7 @@ def cmd_infer(scenario: Scenario) -> int:
     profile = perf.model_profile(scenario.model)
     spec = profile.spec
     topology = scenario.topology
-    seq = scenario.seq_len if scenario.seq_len_explicit else 98304
+    seq = scenario.seq_len or 98304
     stages = topology.world_size
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -12,10 +12,9 @@ class, and the log is byte-identical across reruns of the same program.
 
 from __future__ import annotations
 
-import json
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "run_program",
     "comm_time",
     "payload_nbytes",
-    "load_topology",
 ]
 
 LINK_INTRA = "intra"
@@ -99,39 +97,6 @@ class Topology:
 
     def latency(self, link: str) -> float:
         return self.intra_node_latency if link == LINK_INTRA else self.inter_node_latency
-
-
-_TOPOLOGY_KEYS = {
-    "nodes",
-    "gpus_per_node",
-    "intra_bw_gbps",
-    "inter_bw_gbps",
-    "latency_us_intra",
-    "latency_us_inter",
-}
-
-
-def topology_from_dict(cfg: dict) -> Topology:
-    unknown = set(cfg) - _TOPOLOGY_KEYS
-    if unknown:
-        raise ValueError(f"unknown topology key(s): {sorted(unknown)}")
-    return Topology(
-        num_nodes=int(cfg.get("nodes", 1)),
-        gpus_per_node=int(cfg.get("gpus_per_node", 1)),
-        intra_node_bandwidth=float(cfg.get("intra_bw_gbps", DEFAULT_INTRA_BW / 1e9)) * 1e9,
-        inter_node_bandwidth=float(cfg.get("inter_bw_gbps", DEFAULT_INTER_BW / 1e9)) * 1e9,
-        intra_node_latency=float(cfg.get("latency_us_intra", DEFAULT_INTRA_LATENCY * 1e6)) * 1e-6,
-        inter_node_latency=float(cfg.get("latency_us_inter", DEFAULT_INTER_LATENCY * 1e6)) * 1e-6,
-    )
-
-
-def load_topology(path) -> Topology:
-    """Load a Topology from a JSON config file (strict keys)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: topology config must be an object")
-    return topology_from_dict(cfg)
 
 
 def comm_time(nbytes: float, link: str, topology: Topology) -> float:
@@ -297,10 +262,16 @@ class _Cancelled(BaseException):
 
 @dataclass
 class _Pending:
+    """One rank's side of a collective: its outgoing (dst, payload) edges.
+
+    ``source`` is the one rank a p2p or broadcast receives from; an op
+    without one receives a list with one value per group member.
+    """
+
     kind: str
     group: tuple[int, ...]
-    payload: object
-    meta: dict = field(default_factory=dict)
+    edges: list[tuple[int, object]]
+    source: int | None = None
     step: int = 0
 
 
@@ -320,7 +291,7 @@ class RankHandle:
         The (rank -> dst) edges of the group must form a permutation.
         """
         return self._rt.block_on(
-            self.rank, _Pending("p2p", tuple(group), payload, {"dst": dst, "src": src})
+            self.rank, _Pending("p2p", tuple(group), [(dst, payload)], source=src)
         )
 
     def all_to_all(self, group, shards):
@@ -331,16 +302,21 @@ class RankHandle:
                 f"rank {self.rank}: all_to_all expects {len(group)} shards, "
                 f"got {len(shards)}"
             )
-        return self._rt.block_on(self.rank, _Pending("a2a", group, list(shards)))
+        return self._rt.block_on(self.rank, _Pending("a2a", group, list(zip(group, shards))))
 
     def all_gather(self, group, value):
         """Collect every member's value, returned in group order."""
-        return self._rt.block_on(self.rank, _Pending("all_gather", tuple(group), value))
+        group = tuple(group)
+        return self._rt.block_on(
+            self.rank, _Pending("all_gather", group, [(m, value) for m in group])
+        )
 
     def broadcast(self, group, root: int, value=None):
         """Distribute the root's value to every group member."""
+        group = tuple(group)
+        edges = [(m, value) for m in group] if self.rank == root else []
         return self._rt.block_on(
-            self.rank, _Pending("broadcast", tuple(group), value, {"root": root})
+            self.rank, _Pending("broadcast", group, edges, source=root)
         )
 
 
@@ -506,10 +482,34 @@ class _Runtime:
                 f"rank {m} issued {op.kind} at step {op.step}" for m, op in zip(group, ops)
             )
             raise CollectiveMismatchError(f"collective mismatch: {detail}")
-        resolver = getattr(self, f"_resolve_{ops[0].kind}")
-        resolver(group, ops)
-        for member in group:
-            self.state[member] = _READY
+        kind = ops[0].kind
+        if kind == "p2p":
+            dst_of = {m: op.edges[0][0] for m, op in zip(group, ops)}
+            src_of = {m: op.source for m, op in zip(group, ops)}
+            if sorted(dst_of.values()) != sorted(group):
+                raise CollectiveMismatchError(
+                    f"p2p destinations {dst_of} are not a permutation of group {group}"
+                )
+            for sender, dst in dst_of.items():
+                if src_of[dst] != sender:
+                    raise CollectiveMismatchError(
+                        f"rank {dst} expects to receive from {src_of[dst]} "
+                        f"but rank {sender} is sending to it"
+                    )
+        elif kind == "broadcast":
+            roots = {op.source for op in ops}
+            if len(roots) != 1:
+                raise CollectiveMismatchError(f"broadcast roots disagree: {sorted(roots)}")
+            root = roots.pop()
+            if root not in group:
+                raise FabricError(f"broadcast root {root} not in group {group}")
+        received = {m: [] for m in group}
+        for sender, op in zip(group, ops):  # deterministic log order: sender-major
+            for dst, payload in op.edges:
+                received[dst].append(self._deliver(op.step, kind, sender, dst, payload))
+        for m, op in zip(group, ops):
+            self.results[m] = received[m] if op.source is None else received[m][0]
+            self.state[m] = _READY
 
     def _deliver(self, step: int, kind: str, src: int, dst: int, payload):
         """Log one directed message and return the (possibly tampered) payload."""
@@ -523,62 +523,6 @@ class _Runtime:
             payload = _tamper(payload)
             self.log.tampered.append((src, dst, step, index))
         return payload
-
-    def _resolve_p2p(self, group, ops) -> None:
-        dst_of = {m: op.meta["dst"] for m, op in zip(group, ops)}
-        src_of = {m: op.meta["src"] for m, op in zip(group, ops)}
-        if sorted(dst_of.values()) != sorted(group):
-            raise CollectiveMismatchError(
-                f"p2p destinations {dst_of} are not a permutation of group {group}"
-            )
-        for sender, dst in dst_of.items():
-            if src_of[dst] != sender:
-                raise CollectiveMismatchError(
-                    f"rank {dst} expects to receive from {src_of[dst]} "
-                    f"but rank {sender} is sending to it"
-                )
-        payload_of = {m: op.payload for m, op in zip(group, ops)}
-        for sender in group:  # deterministic log order: sender-major
-            dst = dst_of[sender]
-            op = self.pending[sender]
-            self.results[dst] = self._deliver(op.step, "p2p", sender, dst, payload_of[sender])
-
-    def _resolve_a2a(self, group, ops) -> None:
-        for m, op in zip(group, ops):
-            if len(op.payload) != len(group):
-                raise FabricError(
-                    f"rank {m}: all_to_all shard count {len(op.payload)} "
-                    f"!= group size {len(group)}"
-                )
-        received = {m: [None] * len(group) for m in group}
-        for i, sender in enumerate(group):
-            for j, dst in enumerate(group):
-                shard = ops[i].payload[j]
-                received[dst][i] = self._deliver(ops[i].step, "a2a", sender, dst, shard)
-        for m in group:
-            self.results[m] = received[m]
-
-    def _resolve_all_gather(self, group, ops) -> None:
-        received = {m: [None] * len(group) for m in group}
-        for i, sender in enumerate(group):
-            for dst in group:
-                received[dst][i] = self._deliver(
-                    ops[i].step, "all_gather", sender, dst, ops[i].payload
-                )
-        for m in group:
-            self.results[m] = received[m]
-
-    def _resolve_broadcast(self, group, ops) -> None:
-        roots = {op.meta["root"] for op in ops}
-        if len(roots) != 1:
-            raise CollectiveMismatchError(f"broadcast roots disagree: {sorted(roots)}")
-        root = roots.pop()
-        if root not in group:
-            raise FabricError(f"broadcast root {root} not in group {group}")
-        value = ops[group.index(root)].payload
-        step = ops[group.index(root)].step
-        for m in group:
-            self.results[m] = self._deliver(step, "broadcast", root, m, value)
 
 
 def run_program(mesh: DeviceMesh, program, fault: FaultInjection | None = None):

@@ -303,26 +303,26 @@ def strategy_messages(config: StrategyConfig, spec: AttentionSpec, seq_len: int,
     same shapes, which is what makes the analytic byte counts checkable
     against the CommLog without tolerance.
     """
+    if (mesh.a2a_degree, mesh.p2p_degree) != (config.a2a_degree, config.p2p_degree):
+        raise ValueError(
+            f"strategy {config.kind} (a2a {config.a2a_degree}, p2p {config.p2p_degree}) "
+            f"does not match mesh (a2a {mesh.a2a_degree}, p2p {mesh.p2p_degree})"
+        )
     sp = config.sp_degree
-    if mesh.sp_degree != sp:
-        raise ValueError(f"mesh sp degree {mesh.sp_degree} != strategy sp degree {sp}")
     padded = padded_length(plan_kind(config.kind), sp, seq_len)
     local = padded // sp
     d = spec.head_dim
+    degree = config.a2a_degree
+    rounds = config.p2p_degree
+    eff_kv = effective_kv_heads(spec, degree, config.kv_replication)
+    q_part = (spec.num_q_heads // degree) * local * d * FLOAT_BYTES
+    kv_part = (eff_kv // degree) * local * d * FLOAT_BYTES
+    seg_kv_bytes = 2 * (eff_kv // degree) * (degree * local) * d * FLOAT_BYTES
 
     # One 2D pattern for every kind: the rings are its a2a=1 factor (no
     # exchange) and ulysses its p2p=1 factor (no ring), as in execution.
     for base in range(0, mesh.world_size, sp):
-        degree = config.a2a_degree
-        rounds = config.p2p_degree
-        eff_kv = effective_kv_heads(spec, degree, config.kv_replication)
-        q_part = (spec.num_q_heads // degree) * local * d * FLOAT_BYTES
-        kv_part = (eff_kv // degree) * local * d * FLOAT_BYTES
-        out_part = q_part
-        a2a_groups = [
-            tuple(range(base + g * degree, base + (g + 1) * degree))
-            for g in range(rounds)
-        ]
+        a2a_groups = [mesh.a2a_group_of(base + g * degree) for g in range(rounds)]
         if degree > 1:
             for group in a2a_groups:
                 for src in group:
@@ -330,9 +330,8 @@ def strategy_messages(config: StrategyConfig, spec: AttentionSpec, seq_len: int,
                         if src != dst:
                             yield src, dst, q_part + 2 * kv_part, "a2a"
         if rounds > 1:
-            seg_kv_bytes = 2 * (eff_kv // degree) * (degree * local) * d * FLOAT_BYTES
             for j in range(degree):
-                ring = tuple(base + j + i * degree for i in range(rounds))
+                ring = mesh.p2p_group_of(base + j)
                 for _hop in range(rounds - 1):
                     for i, src in enumerate(ring):
                         yield src, ring[(i + 1) % rounds], seg_kv_bytes, "p2p"
@@ -341,7 +340,7 @@ def strategy_messages(config: StrategyConfig, spec: AttentionSpec, seq_len: int,
                 for src in group:
                     for dst in group:
                         if src != dst:
-                            yield src, dst, out_part, "a2a"
+                            yield src, dst, q_part, "a2a"
 
 
 def comm_volume(config: StrategyConfig, spec: AttentionSpec, seq_len: int,

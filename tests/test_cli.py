@@ -1,10 +1,13 @@
 """CLI: subcommands, config validation, determinism, fault injection."""
 
+import argparse
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from spsim.cli import main
+from spsim.cli import SCENARIO_KEYS, ConfigError, load_scenario, main
 
 SMALL_SCENARIO = {
     "topology": {"nodes": 2, "gpus_per_node": 2},
@@ -15,8 +18,9 @@ SMALL_SCENARIO = {
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
+    """Write ``payload`` as JSON; a str payload is written as raw JSON text."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -44,6 +48,24 @@ class TestConfigHandling:
                      id="frames-negative"),
         pytest.param({"strategy": {"kv_replication": "false"}},
                      ("strategy.kv_replication:", "'false'"), id="kv-replication-string"),
+        pytest.param({"topology": {"nodes": 2.5}}, ("topology.nodes:", "2.5"),
+                     id="nodes-float"),
+        pytest.param({"topology": {"nodes": True}}, ("topology.nodes:", "True"),
+                     id="nodes-bool"),
+        pytest.param({"topology": {"nodes": "2"}}, ("topology.nodes:", "'2'"),
+                     id="nodes-string"),
+        pytest.param({"topology": {"intra_bw_gbps": None}},
+                     ("topology.intra_bw_gbps:", "None"), id="intra-bw-null"),
+        pytest.param('{"topology": {"gpus_per_node": 1e400}}',
+                     ("topology.gpus_per_node:", "inf"), id="gpus-per-node-overflow"),
+        pytest.param({"topology": {"intra_bw_gbps": "fast"}},
+                     ("topology.intra_bw_gbps:", "'fast'"), id="intra-bw-string"),
+        pytest.param({"topology": {"inter_bw_gbps": 0}},
+                     ("topology.inter_bw_gbps:", "> 0"), id="inter-bw-zero"),
+        pytest.param('{"topology": {"latency_us_inter": NaN}}',
+                     ("topology.latency_us_inter:", "nan"), id="latency-nan"),
+        pytest.param({"topology": {"nodes": 2, "gpu_per_node": 8}},
+                     ("unknown key 'topology.gpu_per_node'",), id="topology-unknown-key"),
     ])
     def test_invalid_value_names_the_key(self, tmp_path, capsys, payload, needles):
         cfg = write_config(tmp_path, payload)
@@ -51,6 +73,24 @@ class TestConfigHandling:
             assert run_cli(command, "--config", cfg) == 2, command
             err = capsys.readouterr().err
             assert all(needle in err for needle in needles), (command, err)
+
+    def test_topology_keys_convert_units(self, tmp_path):
+        cfg = write_config(tmp_path, {"topology": {
+            "nodes": 2, "gpus_per_node": 8,
+            "intra_bw_gbps": 900, "inter_bw_gbps": 50,
+            "latency_us_intra": 2, "latency_us_inter": 10,
+        }})
+        topo = load_scenario(cfg, argparse.Namespace()).topology
+        assert topo.world_size == 16
+        assert topo.intra_node_bandwidth == pytest.approx(900e9)
+        assert topo.inter_node_bandwidth == pytest.approx(50e9)
+        assert topo.intra_node_latency == pytest.approx(2e-6)
+        assert topo.inter_node_latency == pytest.approx(10e-6)
+
+    def test_topology_unknown_key_is_named(self, tmp_path):
+        cfg = write_config(tmp_path, {"topology": {"nodes": 2, "gpu_per_node": 8}})
+        with pytest.raises(ConfigError, match="gpu_per_node"):
+            load_scenario(cfg, argparse.Namespace())
 
     def test_invalid_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -68,6 +108,47 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"workload": {"seqlen": 10}})
         assert run_cli("plan", "--config", cfg) == 2
         assert "workload.seqlen" in capsys.readouterr().err
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 40), st.sampled_from([2**64, 10**400]),
+    st.floats(), st.text(max_size=3), st.sampled_from(["7b", "8b", "two_d", "ulysses"]),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=2),
+                                                           st.integers(0, 3), max_size=2),
+)
+
+
+def _section_keys(section):
+    names = [path.split(".", 1)[1] for path in SCENARIO_KEYS if path.startswith(section + ".")]
+    return st.dictionaries(st.sampled_from(names + ["nodez", "typo"]), JSON_VALUES,
+                           max_size=4)
+
+
+SCENARIO_DICTS = st.fixed_dictionaries({}, optional={
+    "topology": st.one_of(_section_keys("topology"), JSON_VALUES),
+    "strategy": st.one_of(_section_keys("strategy"), JSON_VALUES),
+    "workload": st.one_of(_section_keys("workload"), JSON_VALUES),
+    "model": JSON_VALUES,
+    "seed": JSON_VALUES,
+    "out": JSON_VALUES,
+    "inject_fault_message": JSON_VALUES,
+    "modle": JSON_VALUES,
+})
+
+
+class TestScenarioProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=SCENARIO_DICTS)
+    def test_random_scenario_loads_or_names_the_key(self, tmp_path, payload):
+        cfg = write_config(tmp_path, payload)
+        try:
+            load_scenario(cfg, argparse.Namespace())
+        except ConfigError as exc:
+            message = str(exc)
+            head = message.split(":", 1)[0]
+            assert (message.startswith("unknown key '") or head in SCENARIO_KEYS
+                    or head in ("topology", "strategy", "workload")), message
 
 
 class TestVerify:

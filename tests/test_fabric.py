@@ -1,7 +1,5 @@
 """Fabric runtime: mesh construction, collectives, byte accounting, cost model."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from spsim.fabric import (
     Topology,
     build_mesh,
     comm_time,
-    load_topology,
     payload_nbytes,
     run_program,
 )
@@ -38,24 +35,6 @@ class TestTopology:
             Topology(num_nodes=0)
         with pytest.raises(ValueError):
             Topology(intra_node_bandwidth=0.0)
-
-    def test_load_from_config_file(self, tmp_path):
-        path = tmp_path / "topo.json"
-        path.write_text(json.dumps({
-            "nodes": 2, "gpus_per_node": 8,
-            "intra_bw_gbps": 900, "inter_bw_gbps": 50,
-            "latency_us_intra": 2, "latency_us_inter": 10,
-        }))
-        topo = load_topology(path)
-        assert topo.world_size == 16
-        assert topo.intra_node_bandwidth == pytest.approx(900e9)
-        assert topo.inter_node_latency == pytest.approx(10e-6)
-
-    def test_load_rejects_unknown_key(self, tmp_path):
-        path = tmp_path / "topo.json"
-        path.write_text(json.dumps({"nodes": 2, "gpu_per_node": 8}))
-        with pytest.raises(ValueError, match="gpu_per_node"):
-            load_topology(path)
 
 
 class TestCommTime:

@@ -143,6 +143,13 @@ class TestCommVolume:
         executed = Counter((r.src, r.dst, r.nbytes, r.kind) for r in run.log.records)
         assert executed == Counter(strategy_messages(cfg, spec, length, mesh))
 
+    def test_mesh_factorisation_mismatch_rejected(self):
+        # same sp degree, other factorisation: must not enumerate the mesh's groups
+        mesh = build_mesh(Topology(num_nodes=2, gpus_per_node=4), 2, 4)
+        cfg = StrategyConfig("two_d", a2a_degree=4, p2p_degree=2)
+        with pytest.raises(ValueError, match="does not match mesh"):
+            list(strategy_messages(cfg, self.SPEC, 64, mesh))
+
     def test_kv_replication_bytes_match_execution(self):
         spec = AttentionSpec(num_q_heads=8, num_kv_heads=2, head_dim=16)
         cfg = StrategyConfig("ulysses", a2a_degree=8, kv_replication=True)
