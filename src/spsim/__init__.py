@@ -30,7 +30,6 @@ from .sharding import (  # noqa: F401
     ShardPlan,
     contiguous_shard,
     distribute_images,
-    gather_unshard,
     globalize_and_pad,
     zigzag_shard,
 )

@@ -47,6 +47,9 @@ EXIT_CONFIG_ERROR = 2
 
 ORACLE_TOLERANCE = 1e-10
 VERIFY_SEEDS = 3
+# Largest oracle score array (num_q_heads x L x L float64) verify and simulate
+# will allocate for their executed length L.
+MAX_ORACLE_SCORE_BYTES = 1 << 30
 
 
 class ConfigError(ValueError):
@@ -273,9 +276,20 @@ def verification_strategies(scenario: Scenario) -> list[StrategyConfig]:
 
 
 def _verify_length(scenario: Scenario) -> int:
+    """The executed length of verify and simulate, refused if it cannot fit."""
     granule = plan_granule("zigzag", scenario.topology.world_size)  # suits every kind
     seq_len = scenario.seq_len or 192
-    return max(granule, seq_len - seq_len % granule)
+    length = max(granule, seq_len - seq_len % granule)
+    heads = perf.model_profile(scenario.model).spec.num_q_heads
+    score_bytes = heads * length * length * 8
+    if score_bytes > MAX_ORACLE_SCORE_BYTES:
+        raise ConfigError(
+            f"workload.seq_len: executed length {length} needs a "
+            f"{score_bytes / 2**30:.3g} GiB oracle score array ({heads} heads x "
+            f"{length} x {length} x 8 bytes); the limit is "
+            f"{MAX_ORACLE_SCORE_BYTES / 2**30:g} GiB"
+        )
+    return length
 
 
 def cmd_verify(scenario: Scenario) -> int:
@@ -343,6 +357,7 @@ def cmd_verify(scenario: Scenario) -> int:
 def cmd_simulate(scenario: Scenario) -> int:
     profile = perf.model_profile(scenario.model)
     topology = scenario.topology
+    length = _verify_length(scenario)
     world = topology.world_size
     sweep = [per_device * world for per_device in
              (1024, 2048, 3072, 4096, 5120, 6144, 7168, 8192, 9216, 10240)]
@@ -368,7 +383,6 @@ def cmd_simulate(scenario: Scenario) -> int:
 
     # desk-scale execution of the scenario strategy: exact CommLog dump
     spec = profile.spec
-    length = _verify_length(scenario)
     rng = np.random.default_rng([scenario.seed])
     q = rng.standard_normal((spec.num_q_heads, length, spec.head_dim))
     k = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))

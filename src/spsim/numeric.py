@@ -108,16 +108,25 @@ def _check_positions(pos, name: str, length: int) -> np.ndarray:
     return arr
 
 
-def _expand_kv(kv: np.ndarray, num_q_heads: int) -> np.ndarray:
-    """Map (kv_heads, n, d) to (q_heads, n, d) via contiguous head grouping."""
-    num_kv = kv.shape[0]
-    if num_q_heads == num_kv:
-        return kv
-    if num_q_heads % num_kv != 0:
-        raise ValueError(
-            f"kv head count {num_kv} does not divide q head count {num_q_heads}"
-        )
-    return np.repeat(kv, num_q_heads // num_kv, axis=0)
+def _grouped_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a`` (heads, n, x) times ``b`` (kv_heads, x, y), giving (heads, n, y).
+
+    Each KV head serves ``heads // kv_heads`` consecutive query heads
+    (contiguous grouping).  Their rows are stacked into one matrix per KV
+    head, so ``b`` is never copied out to every query head.
+    """
+    heads, n, _ = a.shape
+    kv_heads = b.shape[0]
+    stacked = a.reshape(kv_heads, heads // kv_heads * n, a.shape[2])
+    return np.matmul(stacked, b).reshape(heads, n, b.shape[2])
+
+
+def _masked_scores(q, k, q_pos, kv_pos) -> np.ndarray:
+    """Scaled scores (heads, n_q, n_k) with causally masked entries at -inf."""
+    scores = _grouped_matmul(q, k.transpose(0, 2, 1))
+    scores *= 1.0 / math.sqrt(q.shape[2])
+    np.copyto(scores, -np.inf, where=kv_pos[np.newaxis, :] > q_pos[:, np.newaxis])
+    return scores
 
 
 def reference_attention(q, k, v, spec: AttentionSpec, q_positions=None, kv_positions=None):
@@ -154,19 +163,16 @@ def reference_attention(q, k, v, spec: AttentionSpec, q_positions=None, kv_posit
         if pos.size > 1 and np.any(np.diff(pos) <= 0):
             raise ValueError(f"{name} must be strictly increasing")
 
-    k_full = _expand_kv(k, spec.num_q_heads)
-    v_full = _expand_kv(v, spec.num_q_heads)
-    scale = 1.0 / math.sqrt(spec.head_dim)
-    scores = np.einsum("hqd,hkd->hqk", q, k_full) * scale
-    allowed = kv_pos[np.newaxis, :] <= q_pos[:, np.newaxis]
-    scores = np.where(allowed[np.newaxis, :, :], scores, -np.inf)
-
+    scores = _masked_scores(q, k, q_pos, kv_pos)
     row_max = scores.max(axis=-1)
     if np.any(np.isneginf(row_max)):
         raise ValueError("some query rows attend no keys (empty causal window)")
-    weights = np.exp(scores - row_max[..., np.newaxis])
+    scores -= row_max[..., np.newaxis]
+    weights = np.exp(scores, out=scores)
     denom = weights.sum(axis=-1)
-    return np.einsum("hqk,hkd->hqd", weights, v_full) / denom[..., np.newaxis]
+    out = _grouped_matmul(weights, v)
+    out /= denom[..., np.newaxis]
+    return out
 
 
 def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
@@ -176,7 +182,8 @@ def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
     Safe-softmax update: the running maximum absorbs the block's row maxima
     and previous contributions are rescaled by exp(old_max - new_max).
     A block whose keys are all causally masked for a row leaves that row's
-    state unchanged.  Returns a new state; the input is not mutated.
+    state unchanged; a block that no query row sees returns ``state``
+    itself.  Otherwise returns a new state.  The input is never mutated.
     """
     q = _check_array(q_block, "q_block", 3)
     k = _check_array(k_block, "k_block", 3)
@@ -189,26 +196,30 @@ def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
         )
     if v.shape != k.shape:
         raise ValueError(f"v_block shape {v.shape} does not match k_block {k.shape}")
+    if heads % k.shape[0] != 0:
+        raise ValueError(
+            f"kv head count {k.shape[0]} does not divide q head count {heads}"
+        )
     q_pos = _check_positions(q_positions, "q_positions", n_q)
     kv_pos = _check_positions(kv_positions, "kv_positions", k.shape[1])
+    # Every key lies after every query: the update would rescale by 1 and
+    # add 0, so skip the arithmetic.
+    if kv_pos.size == 0 or q_pos.size == 0 or kv_pos.min() > q_pos.max():
+        return state
 
-    k_full = _expand_kv(k, heads)
-    v_full = _expand_kv(v, heads)
-    scale = 1.0 / math.sqrt(head_dim)
-    scores = np.einsum("hqd,hkd->hqk", q, k_full) * scale
-    allowed = kv_pos[np.newaxis, :] <= q_pos[:, np.newaxis]
-    scores = np.where(allowed[np.newaxis, :, :], scores, -np.inf)
-
+    scores = _masked_scores(q, k, q_pos, kv_pos)
     block_max = scores.max(axis=-1)  # -inf on rows fully masked in this block
     new_max = np.maximum(state.running_max, block_max)
     # Shift by 0 instead of -inf for rows that have still seen no key, so the
     # exponentials below evaluate to exact 0.0 rather than nan.
     safe_max = np.where(np.isneginf(new_max), 0.0, new_max)
-    weights = np.exp(scores - safe_max[..., np.newaxis])
+    scores -= safe_max[..., np.newaxis]
+    weights = np.exp(scores, out=scores)
     rescale = np.exp(state.running_max - safe_max)
+    partial_output = _grouped_matmul(weights, v)
+    partial_output += state.partial_output * rescale[..., np.newaxis]
     return AttentionState(
-        partial_output=state.partial_output * rescale[..., np.newaxis]
-        + np.einsum("hqk,hkd->hqd", weights, v_full),
+        partial_output=partial_output,
         running_max=new_max,
         running_denominator=state.running_denominator * rescale + weights.sum(axis=-1),
     )

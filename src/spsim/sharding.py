@@ -32,7 +32,6 @@ __all__ = [
     "text_embedding_stub",
     "encode_batch",
     "globalize_and_pad",
-    "gather_unshard",
     "chunk_pair_counts",
     "chunk_workload_units",
     "load_samples",
@@ -326,11 +325,6 @@ def globalize_and_pad(pieces, mesh: DeviceMesh) -> tuple[EncodedSequence, ShardP
     )
     plan = zigzag_shard(padded, mesh.sp_degree, original_length=original)
     return encoded, plan
-
-
-def gather_unshard(plan: ShardPlan, shards, axis: int = 0) -> np.ndarray:
-    """Reassemble per-rank shards into the original (unpadded) sequence."""
-    return plan.gather(shards, axis=axis, trim=True)
 
 
 # ---------------------------------------------------------------------------

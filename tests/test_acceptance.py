@@ -45,6 +45,7 @@ from spsim.strategies import (
     StrategyConfig,
     StrategyConfigError,
     execute_strategy,
+    resolve_strategy,
 )
 
 
@@ -61,31 +62,17 @@ def _mesh_for(sp: int, a2a: int):
 
 
 def _valid_configs(rng, spec, sp):
-    configs = [
-        StrategyConfig("naive_ring", p2p_degree=sp),
-        StrategyConfig("zigzag_ring", p2p_degree=sp),
-    ]
-    for replication in (False, True):
-        cfg = StrategyConfig("ulysses", a2a_degree=sp, kv_replication=replication)
-        try:
-            cfg.validate_heads(spec)
-        except StrategyConfigError:
-            continue
-        configs.append(cfg)
-        break
+    configs = [resolve_strategy(spec, sp, kind) for kind in ("naive_ring", "zigzag_ring")]
+    try:
+        configs.append(resolve_strategy(spec, sp, "ulysses", sp))
+    except StrategyConfigError:
+        pass
     factors = [a for a in range(2, sp) if sp % a == 0]
     rng.shuffle(factors)
     for a2a in factors:
-        for replication in (False, True):
-            cfg = StrategyConfig("two_d", a2a_degree=a2a, p2p_degree=sp // a2a,
-                                 kv_replication=replication)
-            try:
-                cfg.validate_heads(spec)
-            except StrategyConfigError:
-                continue
-            configs.append(cfg)
-            break
-        else:
+        try:
+            configs.append(resolve_strategy(spec, sp, "two_d", a2a))
+        except StrategyConfigError:
             continue
         break
     return configs

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spsim.cli import SCENARIO_KEYS, ConfigError, load_scenario, main
+from spsim.cli import SCENARIO_KEYS, ConfigError, _verify_length, load_scenario, main
 
 SMALL_SCENARIO = {
     "topology": {"nodes": 2, "gpus_per_node": 2},
@@ -73,6 +73,23 @@ class TestConfigHandling:
             assert run_cli(command, "--config", cfg) == 2, command
             err = capsys.readouterr().err
             assert all(needle in err for needle in needles), (command, err)
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_oversized_executed_length_is_refused(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"topology": {"nodes": 1, "gpus_per_node": 2},
+                                      "workload": {"seq_len": 1000000000000}})
+        out = tmp_path / "out.csv"
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+        assert "workload.seq_len:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_executed_length_limit_boundary(self, tmp_path):
+        # 8b: 32 heads x 2048 x 2048 x 8 bytes is exactly the 1 GiB limit.
+        cfg = write_config(tmp_path, {"topology": {"nodes": 1, "gpus_per_node": 2},
+                                      "model": "8b"})
+        assert _verify_length(load_scenario(cfg, argparse.Namespace(seq_len=2051))) == 2048
+        with pytest.raises(ConfigError, match="workload.seq_len: executed length 2052"):
+            _verify_length(load_scenario(cfg, argparse.Namespace(seq_len=2052)))
 
     def test_topology_keys_convert_units(self, tmp_path):
         cfg = write_config(tmp_path, {"topology": {

@@ -200,6 +200,60 @@ class TestBlockwiseAccumulation:
         want = reference_attention(q, k, v, spec)
         assert np.max(np.abs(got - want)) < 1e-10
 
+    @pytest.mark.parametrize("q_heads,kv_heads", [(2, 2), (4, 2), (4, 1), (8, 1)],
+                             ids=["group1", "group2", "group4", "group8"])
+    def test_reference_and_blockwise_match_naive_oracle(self, q_heads, kv_heads):
+        rng = np.random.default_rng(30 + q_heads // kv_heads)
+        spec = AttentionSpec(num_q_heads=q_heads, num_kv_heads=kv_heads, head_dim=8)
+        length = 24
+        q, k, v = _random_qkv(rng, spec, length)
+        pos = np.arange(length)
+        want = _naive_gqa_attention(q, k, v, pos, pos)
+        assert np.max(np.abs(reference_attention(q, k, v, spec) - want)) < 1e-12
+
+        cuts = np.sort(rng.choice(np.arange(1, length), size=3, replace=False))
+        state = init_attention_state(q_heads, length, 8)
+        for rows in np.split(rng.permutation(length), cuts):
+            state = blockwise_attention_step(state, q, k[:, rows], v[:, rows], pos, pos[rows])
+        assert np.max(np.abs(finalize_attention(state) - want)) < 1e-12
+
+    @pytest.mark.parametrize("kv_start", [0, 100], ids=["normal", "fully-masked"])
+    def test_input_state_is_not_mutated(self, kv_start):
+        spec = AttentionSpec(num_q_heads=4, num_kv_heads=2, head_dim=4)
+        rng = np.random.default_rng(14)
+        q, k, v = _random_qkv(rng, spec, 8)
+        pos = np.arange(8)
+        state = blockwise_attention_step(init_attention_state(4, 8, 4), q, k[:, :4],
+                                         v[:, :4], pos, pos[:4])
+        before = [a.copy() for a in state.as_arrays()]
+        after = blockwise_attention_step(state, q, k[:, 4:], v[:, 4:], pos, pos[4:] + kv_start)
+        for kept, now in zip(before, state.as_arrays()):
+            assert kept.tobytes() == now.tobytes()
+        assert (after is state) == (kv_start > 0)
+
+    def test_non_contiguous_q_matches_contiguous_copy(self):
+        spec = AttentionSpec(num_q_heads=4, num_kv_heads=2, head_dim=8)
+        rng = np.random.default_rng(15)
+        _, k, v = _random_qkv(rng, spec, 10)
+        q_view = rng.standard_normal((10, 4, 8)).transpose(1, 0, 2)
+        q_copy = np.ascontiguousarray(q_view)
+        assert not q_view.flags.c_contiguous
+        pos = np.arange(10)
+        np.testing.assert_array_equal(reference_attention(q_view, k, v, spec),
+                                      reference_attention(q_copy, k, v, spec))
+        states = [blockwise_attention_step(init_attention_state(4, 10, 8), q, k, v, pos, pos)
+                  for q in (q_view, q_copy)]
+        for a, b in zip(*(s.as_arrays() for s in states)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_rejects_non_dividing_kv_heads(self):
+        rng = np.random.default_rng(16)
+        q = rng.standard_normal((3, 4, 2))
+        k = v = rng.standard_normal((2, 4, 2))
+        with pytest.raises(ValueError, match="kv head count 2 does not divide q head count 3"):
+            blockwise_attention_step(init_attention_state(3, 4, 2), q, k, v,
+                                     np.arange(4), np.arange(4))
+
     def test_rejects_state_shape_mismatch(self):
         spec = AttentionSpec(num_q_heads=2, num_kv_heads=2, head_dim=4)
         rng = np.random.default_rng(13)

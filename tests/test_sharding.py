@@ -16,7 +16,6 @@ from spsim.sharding import (
     distribute_images,
     encode_batch,
     encode_images_stub,
-    gather_unshard,
     globalize_and_pad,
     load_samples,
     padded_length_for,
@@ -185,13 +184,13 @@ class TestShardGather:
         x = rng.standard_normal((48, 5))
         shards = plan.shard(x)
         assert all(s.shape[0] == 16 for s in shards)
-        back = gather_unshard(plan, shards)
+        back = plan.gather(shards, trim=True)
         np.testing.assert_array_equal(back, x[:41])
 
     def test_gather_drops_dummies(self):
         plan = zigzag_shard(16, 2, original_length=13)
         x = np.arange(16.0)[:, None]
-        back = gather_unshard(plan, plan.shard(x))
+        back = plan.gather(plan.shard(x), trim=True)
         assert back.shape[0] == 13
 
     def test_shard_along_other_axis(self):
