@@ -91,7 +91,8 @@ _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false
                str: "a path"}
 # Command-line flag (argparse dest) -> the scenario key it overrides.
 _FLAG_KEYS = {"seed": "seed", "out": "out", "strategy": "strategy.kind",
-              "a2a": "strategy.a2a", "p2p": "strategy.p2p", "seq_len": "workload.seq_len"}
+              "a2a": "strategy.a2a", "p2p": "strategy.p2p", "seq_len": "workload.seq_len",
+              "model": "model"}
 
 
 @dataclass
@@ -418,16 +419,12 @@ def cmd_simulate(scenario: Scenario) -> int:
 # profile / plan / infer
 # ---------------------------------------------------------------------------
 
-def cmd_profile(scenario: Scenario, model_name: str | None) -> int:
-    name = model_name or scenario.model
-    if name not in perf.PROFILE_NAMES:
-        raise ConfigError(
-            f"unknown model profile {name!r}; available: {', '.join(perf.PROFILE_NAMES)}"
-        )
+def cmd_profile(scenario: Scenario) -> int:
+    name = scenario.model
     rows_published = perf.reference_rows(name)
     if not rows_published:
         raise ConfigError(
-            f"no measured complexity rows for {name!r}; "
+            f"model: no measured complexity rows for {name!r}; "
             f"available: {', '.join(n for n in perf.PROFILE_NAMES if perf.reference_rows(n))}"
         )
     profile = perf.model_profile(name)
@@ -525,7 +522,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(scenario)
         if args.command == "profile":
-            return cmd_profile(scenario, args.model)
+            return cmd_profile(scenario)
         if args.command == "plan":
             return cmd_plan(scenario)
         if args.command == "infer":

@@ -3,11 +3,21 @@
 Logical ranks run ordinary Python callables ("rank programs") on worker
 threads, but exactly one rank executes at a time and control passes
 round-robin at communication calls, so observable behavior is identical to
-a single-threaded schedule.  Collectives resolve when every participant of
-the group has arrived with a matching call; a mismatch or a rank finishing
-while peers wait is reported as a structured deadlock error instead of a
-hang.  Every off-rank message is logged with its exact byte count and link
-class, and the log is byte-identical across reruns of the same program.
+a single-threaded schedule.  Each rank thread parks on a lock of its own.
+When a rank blocks or finishes, its own thread runs the scheduling step:
+it tries to resolve the rank's group, picks the next ready rank in index
+order (a new sweep from rank 0 at the end) and releases that rank's lock,
+so control passes straight from rank to rank; the caller's thread only
+starts the ranks and waits for the run to end.
+
+Collectives resolve when every participant of the group has arrived with a
+matching call.  A member seen waiting on a group stays so until the group
+resolves, so each group keeps its verified prefix and an arrival resumes
+the check there instead of rescanning the group.  A mismatch or a rank
+finishing while peers wait is reported as a structured deadlock error
+instead of a hang.  Every off-rank message is logged with its exact byte
+count and link class, and the log is byte-identical across reruns of the
+same program.
 """
 
 from __future__ import annotations
@@ -353,94 +363,92 @@ class _Runtime:
         self.pending: list[_Pending | None] = [None] * n
         self.steps = [0] * n
         self.outputs: list[object] = [None] * n
-        self.errors: list[BaseException | None] = [None] * n
         self.results: dict[int, object] = {}
-        self.resume = [threading.Event() for _ in range(n)]
-        self.parked = [threading.Event() for _ in range(n)]
+        self.verified: dict[tuple[int, ...], int] = {}  # group -> members seen blocked on it
+        self.failure: BaseException | None = None
+        # Each rank thread parks on its own lock, the caller on _caller; all
+        # start held, and releasing one hands control to the thread it parks.
+        self._thread = [threading.Lock() for _ in range(n)]
+        self._caller = threading.Lock()
+        for lock in (*self._thread, self._caller):
+            lock.acquire()
         self.cancelled = False
         self.msg_counter = 0
 
     # -- rank-thread side -------------------------------------------------
 
     def entry(self, rank: int, program) -> None:
-        self.resume[rank].wait()
-        self.resume[rank].clear()
-        if self.cancelled:
-            self.state[rank] = _FAILED
-            self.parked[rank].set()
-            return
+        self._thread[rank].acquire()
         try:
+            if self.cancelled:
+                raise _Cancelled()
             self.outputs[rank] = program(RankHandle(self, rank))
-            self.state[rank] = _DONE
         except _Cancelled:
             self.state[rank] = _FAILED
-        except BaseException as exc:  # propagated by the driver
-            self.errors[rank] = exc
+        except BaseException as exc:  # re-raised by run()
             self.state[rank] = _FAILED
-        finally:
-            self.parked[rank].set()
+            self.failure = exc
+            self._caller.release()
+        else:
+            self.state[rank] = _DONE
+            self._switch(rank)
 
     def block_on(self, rank: int, op: _Pending):
+        if self.cancelled:
+            raise _Cancelled()
         op.step = self.steps[rank]
         self.steps[rank] += 1
         self.pending[rank] = op
         self.state[rank] = _BLOCKED
-        self.parked[rank].set()
-        self.resume[rank].wait()
-        self.resume[rank].clear()
+        self._switch(rank)
         if self.cancelled:
             raise _Cancelled()
         self.pending[rank] = None
         return self.results.pop(rank)
 
-    # -- driver side ------------------------------------------------------
+    def _switch(self, rank: int) -> None:
+        """The scheduling step, run by the rank that just blocked or finished:
+        resolve its group, hand control to the next READY rank after it (at
+        the end of a sweep the first from rank 0, a deadlock if none, the
+        caller once every rank is done) and park unless it finished."""
+        state = self.state
+        try:
+            if state[rank] == _BLOCKED:
+                self._try_resolve(self.pending[rank].group)
+            nxt = next((r for r in range(rank + 1, self.n) if state[r] == _READY), None)
+            if nxt is None and state.count(_DONE) < self.n:
+                while _READY not in state:
+                    self._raise_deadlock()  # returns only if a collective resolved
+                nxt = state.index(_READY)
+        except BaseException as exc:  # a mismatch or deadlock ends the run
+            self.failure = exc
+            nxt = None
+        if nxt == rank:
+            return
+        (self._caller if nxt is None else self._thread[nxt]).release()
+        if state[rank] != _DONE:
+            self._thread[rank].acquire()
+
+    # -- caller side ------------------------------------------------------
 
     def run(self, program):
-        threads = [
-            threading.Thread(target=self.entry, args=(r, program), daemon=True)
-            for r in range(self.n)
-        ]
+        threads = [threading.Thread(target=self.entry, args=(r, program), daemon=True)
+                   for r in range(self.n)]
         for t in threads:
             t.start()
+        self._thread[0].release()
         try:
-            self._drive()
-        except BaseException:
-            self._cancel_all()
-            raise
-        finally:
+            self._caller.acquire()
+        finally:  # cancel every parked rank
+            self.cancelled = True
+            for rank, lock in enumerate(self._thread):
+                if self.state[rank] not in (_DONE, _FAILED):
+                    lock.release()
             for t in threads:
                 t.join(timeout=5.0)
+        if self.failure is not None:
+            raise self.failure
         return self.outputs, self.log
-
-    def _drive(self) -> None:
-        while True:
-            progressed = False
-            for rank in range(self.n):
-                if self.state[rank] != _READY:
-                    continue
-                progressed = True
-                self._step_rank(rank)
-                if self.state[rank] == _FAILED:
-                    raise self.errors[rank]
-                if self.state[rank] == _BLOCKED:
-                    self._try_resolve(self.pending[rank].group)
-            if all(s == _DONE for s in self.state):
-                return
-            if not progressed:
-                self._raise_deadlock()
-
-    def _step_rank(self, rank: int) -> None:
-        self.resume[rank].set()
-        self.parked[rank].wait()
-        self.parked[rank].clear()
-
-    def _cancel_all(self) -> None:
-        self.cancelled = True
-        for rank in range(self.n):
-            if self.state[rank] in (_DONE, _FAILED):
-                continue
-            self.results.setdefault(rank, None)
-            self.resume[rank].set()
 
     def _raise_deadlock(self) -> None:
         # Re-check every blocked group: a peer that finished or switched
@@ -459,8 +467,11 @@ class _Runtime:
         raise DeadlockError(f"no runnable rank and no resolvable collective: {waiting}")
 
     def _try_resolve(self, group: tuple[int, ...]) -> None:
-        ops: list[_Pending] = []
-        for member in group:
+        # A member seen blocked on the group stays so until it resolves:
+        # resume the scan after that verified prefix.
+        seen = self.verified.pop(group, 0)
+        while seen < len(group):
+            member = group[seen]
             st = self.state[member]
             if st == _DONE:
                 raise CollectiveMismatchError(
@@ -468,6 +479,7 @@ class _Runtime:
                     f"wait on a collective over group {group}"
                 )
             if st != _BLOCKED:
+                self.verified[group] = seen
                 return  # not everyone has arrived yet
             op = self.pending[member]
             if op.group != group:
@@ -475,7 +487,8 @@ class _Runtime:
                     f"group mismatch at step {op.step}: rank {member} joined "
                     f"{op.group} while peers use {group}"
                 )
-            ops.append(op)
+            seen += 1
+        ops = [self.pending[member] for member in group]
         kinds = {op.kind for op in ops}
         if len(kinds) > 1:
             detail = ", ".join(

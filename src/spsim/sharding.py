@@ -11,6 +11,7 @@ system under test is the sharding, not the modeling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -131,7 +132,17 @@ class ShardPlan:
         return np.arange(start, start + self.chunk_size, dtype=np.int64)
 
     def rank_positions(self, rank: int) -> np.ndarray:
-        return np.concatenate([self.chunk_positions(c) for c in self.assignments[rank]])
+        """Global positions of a rank's rows (read-only, built once per plan)."""
+        return self._rank_positions[rank]
+
+    @cached_property
+    def _rank_positions(self) -> tuple[np.ndarray, ...]:
+        built = []
+        for chunks in self.assignments:
+            positions = np.concatenate([self.chunk_positions(c) for c in chunks])
+            positions.flags.writeable = False
+            built.append(positions)
+        return tuple(built)
 
     def rank_of_chunk(self, chunk: int) -> int:
         for rank, chunks in enumerate(self.assignments):

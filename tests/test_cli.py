@@ -272,11 +272,21 @@ class TestProfileAndPlan:
 
     def test_profile_unknown_model_is_config_error(self, capsys):
         assert run_cli("profile", "--model", "405b") == 2
-        assert "available" in capsys.readouterr().err
+        assert "must be one of" in capsys.readouterr().err
 
     def test_profile_without_published_rows_is_config_error(self, capsys):
         assert run_cli("profile", "--model", "8b") == 2
         assert "no measured complexity rows" in capsys.readouterr().err
+
+    def test_profile_model_flag_is_validated_as_the_model_key(self, capsys):
+        assert run_cli("profile", "--model", "70b") == 2
+        assert capsys.readouterr().err == (
+            "config error: model: must be one of 1.5b, 7b, 8b, got '70b'\n")
+
+    def test_profile_default_scenario_names_the_model_key(self, capsys):
+        assert run_cli("profile") == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: model: no measured complexity rows for '8b'; ")
 
     def test_plan_on_two_node_default_prints_8x2(self, capsys):
         assert run_cli("plan") == 0

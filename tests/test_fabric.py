@@ -1,7 +1,14 @@
 """Fabric runtime: mesh construction, collectives, byte accounting, cost model."""
 
+import hashlib
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spsim.fabric import (
     CollectiveMismatchError,
@@ -15,6 +22,10 @@ from spsim.fabric import (
     payload_nbytes,
     run_program,
 )
+from spsim.inference import StubModel, sp_decode_step, sp_prefill
+from spsim.numeric import AttentionSpec
+from spsim.sharding import SampleSpec, build_sequences, encode_batch, globalize_and_pad
+from spsim.strategies import StrategyConfig, execute_strategy
 
 
 def two_node_topology(gpus_per_node=4):
@@ -192,6 +203,25 @@ class TestRunProgram:
         with pytest.raises(DeadlockError, match="finished"):
             run_program(mesh, program)
 
+    def test_group_reused_after_a_partial_match(self):
+        # A singleton collective delays a rank by one sweep.  Rank 0 is late
+        # for the first collective over (1, 0), whose match so stops after
+        # rank 1; rank 1 is late for the second, which must start over.
+        mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=2))
+        group = (1, 0)
+
+        def program(h):
+            if h.rank == 0:
+                h.all_gather((0,), None)
+            first = h.all_gather(group, (h.rank, 0))
+            if h.rank == 1:
+                h.all_gather((1,), None)
+            return first, h.all_gather(group, (h.rank, 1))
+
+        outputs, log = run_program(mesh, program)
+        assert outputs == [([(1, 0), (0, 0)], [(1, 1), (0, 1)])] * 2
+        assert len(log) == 4
+
     def test_p2p_requires_permutation(self):
         mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=2))
 
@@ -242,6 +272,34 @@ class TestRunProgram:
                 received[r.dst] = received.get(r.dst, 0) + r.nbytes
             assert sum(sent.values()) == sum(received.values())
 
+    def test_one_rank_runs_at_a_time_under_frequent_thread_switches(self):
+        # Each hop does an unlocked read-modify-write of a shared counter and
+        # yields the interpreter in between: a second running rank would lose
+        # an update.
+        world, hops = 8, 40
+        mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=world))
+        group = tuple(range(world))
+        counter = [0]
+
+        def program(h):
+            value = h.rank
+            for _ in range(hops):
+                seen = counter[0]
+                time.sleep(0)
+                counter[0] = seen + 1
+                value = h.send_recv(group, (h.rank + 1) % world, (h.rank - 1) % world, value)
+            return value
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outputs, log = _run_bounded(mesh, program)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counter[0] == world * hops
+        assert outputs == [(r - hops) % world for r in range(world)]
+        assert len(log) == world * hops
+
     def test_program_exception_propagates(self):
         mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=2))
 
@@ -267,6 +325,187 @@ class TestRunProgram:
         assert len(log.tampered) == 1
         src, dst, step, index = log.tampered[0]
         assert (src, dst, index) == (0, 1, 0)
+
+
+# sha256 of the CommLog rows and tampered lists of _delivery_order_runs():
+# it moves with any change to the order in which the fabric delivers.
+DELIVERY_ORDER_SHA256 = "f3dcaaabe0b16cad9bf68f14c9e90fbd18d49e37eeda494cfd2d48a6453032ee"
+
+
+def _delivery_order_runs():
+    """CommLogs of fixed runs: each kind at world 8 on 2x4, a zigzag ring at
+    world 64, a two-node prefill plus 3 decode steps, a fault-injected run."""
+    spec = AttentionSpec(num_q_heads=8, num_kv_heads=2, head_dim=4, num_layers=2)
+    rng = np.random.default_rng(7)
+
+    def strategy_log(topology, config, length, fault=None):
+        q = rng.standard_normal((spec.num_q_heads, length, spec.head_dim))
+        k = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
+        v = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
+        mesh = build_mesh(topology, config.a2a_degree, config.p2p_degree)
+        return execute_strategy(mesh, config, spec, q, k, v, fault=fault).log
+
+    two_by_four = two_node_topology()
+    logs = [strategy_log(two_by_four, config, 32) for config in (
+        StrategyConfig("naive_ring", 1, 8),
+        StrategyConfig("zigzag_ring", 1, 8),
+        StrategyConfig("ulysses", 8, 1, kv_replication=True),
+        StrategyConfig("two_d", 2, 4),
+    )]
+    logs.append(strategy_log(Topology(num_nodes=8, gpus_per_node=8),
+                             StrategyConfig("zigzag_ring", 1, 64), 128))
+
+    mesh = build_mesh(two_by_four, 1, 8)
+    batch = build_sequences([SampleSpec(0, 1, 21), SampleSpec(1, 2, 9)])
+    pieces = encode_batch(batch, tokens_per_frame=4, hidden=spec.hidden_size)
+    encoded, plan = globalize_and_pad(pieces, mesh)
+    state = sp_prefill(mesh, encoded, plan, StubModel(spec))
+    for _ in range(3):
+        if not state.finished:
+            _, state = sp_decode_step(mesh, state)
+    logs.append(state.comm_log)
+
+    logs.append(strategy_log(two_by_four, StrategyConfig("two_d", 4, 2, kv_replication=True),
+                             32, fault=FaultInjection(message_index=37)))
+    return logs
+
+
+class TestDeliveryOrder:
+    @pytest.mark.filterwarnings("ignore::spsim.fabric.MeshPlacementWarning")
+    def test_comm_logs_match_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        for log in _delivery_order_runs():
+            digest.update(repr((log.to_rows(), log.tampered)).encode())
+        assert digest.hexdigest() == DELIVERY_ORDER_SHA256
+
+
+KINDS = ("p2p", "a2a", "all_gather", "broadcast")
+
+
+@st.composite
+def lock_step_programs(draw):
+    """(world, steps): at each step the world is split into groups, and every
+    member of a group issues that group's (kind, group, arg) collective.
+    ``arg`` is the p2p shift or the index of the broadcast root."""
+    world = draw(st.integers(1, 8))
+    steps = []
+    for _ in range(draw(st.integers(1, 5))):
+        order = draw(st.permutations(range(world)))
+        cuts = sorted(draw(st.sets(st.integers(1, world - 1)))) if world > 1 else []
+        groups = [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [world])]
+        steps.append([(draw(st.sampled_from(KINDS)), group,
+                       draw(st.integers(0, len(group) - 1))) for group in groups])
+    return world, steps
+
+
+def _op_of(steps, step, rank):
+    return next(op for op in steps[step] if rank in op[1])
+
+
+def _issue(h, kind, group, arg, step, src=None):
+    if kind == "p2p":
+        i = group.index(h.rank)
+        if src is None:
+            src = group[(i - arg) % len(group)]
+        return h.send_recv(group, group[(i + arg) % len(group)], src, (h.rank, step))
+    if kind == "a2a":
+        return h.all_to_all(group, [(h.rank, step, m) for m in group])
+    if kind == "all_gather":
+        return h.all_gather(group, (h.rank, step))
+    root = group[arg]
+    return h.broadcast(group, root, (root, step) if h.rank == root else None)
+
+
+def _expected(kind, group, arg, step, rank):
+    if kind == "p2p":
+        return (group[(group.index(rank) - arg) % len(group)], step)
+    if kind == "a2a":
+        return [(m, step, rank) for m in group]
+    if kind == "all_gather":
+        return [(m, step) for m in group]
+    return (group[arg], step)
+
+
+def _message_count(kind, group, arg):
+    size = len(group)
+    if kind == "p2p":
+        return size if arg else 0
+    return size - 1 if kind == "broadcast" else size * (size - 1)
+
+
+def _run_bounded(mesh, program, timeout=10.0):
+    """run_program on a helper thread; a run still going after ``timeout``
+    seconds fails the test instead of hanging it."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = run_program(mesh, program)
+        except BaseException as exc:
+            box["error"] = exc
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout)
+    assert not helper.is_alive(), "run_program did not return"
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+class TestFabricProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(program=lock_step_programs())
+    def test_matched_programs_complete(self, program):
+        world, steps = program
+
+        def rank_program(h):
+            return [_issue(h, *_op_of(steps, s, h.rank), s) for s in range(len(steps))]
+
+        threads_before = threading.active_count()
+        outputs, log = _run_bounded(build_mesh(Topology(num_nodes=1, gpus_per_node=world)),
+                                    rank_program)
+        assert threading.active_count() == threads_before
+        for rank in range(world):
+            assert outputs[rank] == [_expected(*_op_of(steps, s, rank), s, rank)
+                                     for s in range(len(steps))]
+        assert len(log) == sum(_message_count(*op) for ops in steps for op in ops)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(program=lock_step_programs(), data=st.data())
+    def test_injected_fault_raises(self, program, data):
+        world, steps = program
+        sites = [(s, group) for s, ops in enumerate(steps)
+                 for _kind, group, _arg in ops if len(group) > 1]
+        assume(sites)  # a fault needs a group with two members
+        fault = data.draw(st.sampled_from(("kind", "group", "finish", "source")))
+        step, group = data.draw(st.sampled_from(sites))
+        victim = data.draw(st.sampled_from(group))
+        if fault == "source":  # the victim's group rotates with shift 1
+            steps = list(steps)
+            steps[step] = [("p2p", group, 1) if op[1] == group else op for op in steps[step]]
+
+        def rank_program(h):
+            received = []
+            for s in range(len(steps)):
+                kind, group, arg = _op_of(steps, s, h.rank)
+                src = None
+                if (s, h.rank) == (step, victim):
+                    if fault == "finish":
+                        return received
+                    if fault == "kind":
+                        kind = KINDS[(KINDS.index(kind) + 1) % len(KINDS)]
+                    elif fault == "group":
+                        group = group[::-1]
+                    else:  # the rank two back (itself in a pair), not the sender
+                        src = group[(group.index(h.rank) - 2) % len(group)]
+                received.append(_issue(h, kind, group, arg, s, src))
+            return received
+
+        threads_before = threading.active_count()
+        with pytest.raises(FabricError):
+            _run_bounded(build_mesh(Topology(num_nodes=1, gpus_per_node=world)), rank_program)
+        assert threading.active_count() == threads_before
 
 
 class TestPayloadBytes:

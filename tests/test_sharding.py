@@ -153,6 +153,17 @@ class TestZigzagPlan:
         with pytest.raises(ValueError, match="divisible"):
             zigzag_shard(30, 4)
 
+    @pytest.mark.parametrize("plan", [zigzag_shard(16, 2), contiguous_shard(12, 3)],
+                             ids=["zigzag", "contiguous"])
+    def test_rank_positions_are_shared_and_read_only(self, plan):
+        positions = plan.rank_positions(1)
+        assert plan.rank_positions(1) is positions
+        expected = np.concatenate([plan.chunk_positions(c) for c in plan.assignments[1]])
+        np.testing.assert_array_equal(positions, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            positions[0] = 99
+        np.testing.assert_array_equal(plan.rank_positions(1), expected)
+
     @pytest.mark.parametrize("sp", [2, 4, 8])
     def test_causal_chunk_pairs_equal_2p_plus_1(self, sp):
         plan = zigzag_shard(8 * sp, sp)
