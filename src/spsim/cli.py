@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,6 +294,18 @@ def _verify_length(scenario: Scenario) -> int:
     return length
 
 
+def comm_model_ok(volume: dict, messages: Counter, log) -> bool:
+    """Whether a CommLog matches the analytic model exactly: its byte totals
+    per (kind, link), then its multiset of (src, dst, nbytes, kind) messages."""
+    totals_ok = all(
+        perf.volume_total(volume, kind, link) == log.total_bytes(kind=kind, link=link)
+        for kind in ("p2p", "a2a")
+        for link in ("intra", "inter")
+    )
+    return totals_ok and Counter((r.src, r.dst, r.nbytes, r.kind) for r in log.records) \
+        == messages
+
+
 def cmd_verify(scenario: Scenario) -> int:
     spec = perf.model_profile(scenario.model).spec
     world = scenario.topology.world_size
@@ -306,6 +319,8 @@ def cmd_verify(scenario: Scenario) -> int:
                   for cfg in configs]
         predicted = [perf.comm_volume(cfg, spec, length, mesh)
                      for cfg, mesh in zip(configs, meshes)]
+        messages = [Counter(perf.strategy_messages(cfg, spec, length, mesh))
+                    for cfg, mesh in zip(configs, meshes)]
         for seed_index in range(VERIFY_SEEDS):
             rng = np.random.default_rng([scenario.seed, seed_index])
             q = rng.standard_normal((spec.num_q_heads, length, spec.head_dim))
@@ -328,12 +343,7 @@ def cmd_verify(scenario: Scenario) -> int:
                     seed_index, "pass" if ok else "FAIL", diff, detail))
                 failures += 0 if ok else 1
 
-                bytes_ok = all(
-                    perf.volume_total(predicted[index], kind, link)
-                    == run.log.total_bytes(kind=kind, link=link)
-                    for kind in ("p2p", "a2a")
-                    for link in ("intra", "inter")
-                )
+                bytes_ok = comm_model_ok(predicted[index], messages[index], run.log)
                 rows_of[index].append((
                     "comm_model", cfg.kind, cfg.a2a_degree, cfg.p2p_degree,
                     seed_index, "pass" if bytes_ok else "FAIL", 0.0, ""))

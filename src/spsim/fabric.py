@@ -13,8 +13,10 @@ starts the ranks and waits for the run to end.
 Collectives resolve when every participant of the group has arrived with a
 matching call.  A member seen waiting on a group stays so until the group
 resolves, so each group keeps its verified prefix and an arrival resumes
-the check there instead of rescanning the group.  A mismatch or a rank
-finishing while peers wait is reported as a structured deadlock error
+the check there instead of rescanning the group.  A member waiting on
+another group has not arrived yet: that group may resolve first.  A group
+mismatch is therefore reported only when no collective can resolve; it,
+and a rank finishing while peers wait, is a structured deadlock error
 instead of a hang.  Every off-rank message is logged with its exact byte
 count and link class, and the log is byte-identical across reruns of the
 same program.
@@ -451,13 +453,24 @@ class _Runtime:
         return self.outputs, self.log
 
     def _raise_deadlock(self) -> None:
-        # Re-check every blocked group: a peer that finished or switched
-        # groups after this rank blocked surfaces as a mismatch here.
+        # Re-check every blocked group: a peer that finished after this rank
+        # blocked surfaces as a mismatch here.
         for rank in range(self.n):
             if self.state[rank] == _BLOCKED:
                 self._try_resolve(self.pending[rank].group)
         if any(s == _READY for s in self.state):
             return  # a collective resolved after all; keep driving
+        # Nothing can resolve: a member waiting on another group is a mismatch.
+        for rank in range(self.n):
+            if self.state[rank] == _BLOCKED:
+                group = self.pending[rank].group
+                for member in group:
+                    op = self.pending[member]
+                    if op is not None and op.group != group:
+                        raise CollectiveMismatchError(
+                            f"group mismatch at step {op.step}: rank {member} joined "
+                            f"{op.group} while peers use {group}"
+                        )
         waiting = "; ".join(
             f"rank {r} waiting on {self.pending[r].kind} over group "
             f"{self.pending[r].group} at step {self.pending[r].step}"
@@ -478,15 +491,11 @@ class _Runtime:
                     f"rank {member} finished while ranks {sorted(set(group) - {member})} "
                     f"wait on a collective over group {group}"
                 )
-            if st != _BLOCKED:
+            if st != _BLOCKED or self.pending[member].group != group:
+                # Not arrived yet; a member waiting on another group may
+                # still get here once that group resolves.
                 self.verified[group] = seen
-                return  # not everyone has arrived yet
-            op = self.pending[member]
-            if op.group != group:
-                raise CollectiveMismatchError(
-                    f"group mismatch at step {op.step}: rank {member} joined "
-                    f"{op.group} while peers use {group}"
-                )
+                return
             seen += 1
         ops = [self.pending[member] for member in group]
         kinds = {op.kind for op in ops}

@@ -256,9 +256,7 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
                 partial = blockwise_attention_step(partial, q, local_k, local_v,
                                                    q_pos, local_pos)
             gathered = handle.all_gather(group, partial.as_arrays())
-            merged = AttentionState(*gathered[0])
-            for arrays in gathered[1:]:
-                merged = merge_attention_partials(merged, AttentionState(*arrays))
+            merged = merge_attention_partials(*(AttentionState(*arrays) for arrays in gathered))
             out = finalize_attention(merged)
             x = model.project_out(layer, out) + x
             new_kv.append((k, v))

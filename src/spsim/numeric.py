@@ -2,9 +2,14 @@
 
 Provides the single-device causal grouped-query attention oracle and the
 blockwise safe-softmax accumulator that every ring-style sharding strategy
-is built on.  Everything here is 64-bit, allocation-pure and deterministic:
-identical inputs produce bitwise-identical outputs, which is what makes
-cross-strategy equivalence checks meaningful.
+is built on.  Everything here is 64-bit and deterministic: identical inputs
+produce bitwise-identical outputs, which is what makes cross-strategy
+equivalence checks meaningful.
+
+A ring pass folds every KV block it receives into one accumulator in place:
+``start_fold`` checks the query block once and owns the state, and
+``blockwise_attention_step(..., out=fold)`` then checks only the KV block.
+The functional call form is the same fold on a copy of the state.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ __all__ = [
     "AttentionState",
     "init_attention_state",
     "reference_attention",
+    "AttentionFold",
+    "start_fold",
     "blockwise_attention_step",
     "merge_attention_partials",
     "finalize_attention",
@@ -71,14 +78,6 @@ class AttentionState:
     running_max: np.ndarray  # (heads, queries)
     running_denominator: np.ndarray  # (heads, queries)
 
-    @property
-    def num_heads(self) -> int:
-        return self.partial_output.shape[0]
-
-    @property
-    def num_queries(self) -> int:
-        return self.partial_output.shape[1]
-
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.partial_output, self.running_max, self.running_denominator)
 
@@ -96,7 +95,7 @@ def _check_array(x, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-d, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -125,7 +124,9 @@ def _masked_scores(q, k, q_pos, kv_pos) -> np.ndarray:
     """Scaled scores (heads, n_q, n_k) with causally masked entries at -inf."""
     scores = _grouped_matmul(q, k.transpose(0, 2, 1))
     scores *= 1.0 / math.sqrt(q.shape[2])
-    np.copyto(scores, -np.inf, where=kv_pos[np.newaxis, :] > q_pos[:, np.newaxis])
+    masked = kv_pos[np.newaxis, :] > q_pos[:, np.newaxis]
+    if masked.any():  # every row sees every key of the block otherwise
+        np.copyto(scores, -np.inf, where=masked)
     return scores
 
 
@@ -175,8 +176,39 @@ def reference_attention(q, k, v, spec: AttentionSpec, q_positions=None, kv_posit
     return out
 
 
+@dataclass
+class AttentionFold:
+    """A query block, checked once, and the accumulator its KV blocks fold
+    into (see ``start_fold``).  A caller's state is copied before its first
+    change, never mutated."""
+
+    q: np.ndarray
+    q_positions: np.ndarray
+    q_span: tuple[int, int]  # least and greatest query position
+    state: AttentionState
+    owned: bool  # ``state`` belongs to the fold and may change in place
+    fresh: bool  # no key folded yet, so every running max is -inf
+    all_seen: bool = False  # every row has seen a key: no running max is -inf
+
+
+def start_fold(q_block, q_positions, state: AttentionState | None = None) -> AttentionFold:
+    """Check a query block and its positions once for a chain of KV folds."""
+    q = _check_array(q_block, "q_block", 3)
+    if state is not None and state.partial_output.shape != q.shape:
+        raise ValueError(
+            f"state shape {state.partial_output.shape} does not match "
+            f"q_block shape {q.shape}"
+        )
+    q_pos = _check_positions(q_positions, "q_positions", q.shape[1])
+    span = (int(q_pos.min()), int(q_pos.max())) if q_pos.size else (0, -1)
+    owned = state is None
+    return AttentionFold(q, q_pos, span, init_attention_state(*q.shape) if owned else state,
+                         owned=owned, fresh=owned)
+
+
 def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
-                             q_positions, kv_positions) -> AttentionState:
+                             q_positions, kv_positions, *,
+                             out: AttentionFold | None = None) -> AttentionState:
     """Fold one KV block into the accumulator (one ring hop's local compute).
 
     Safe-softmax update: the running maximum absorbs the block's row maxima
@@ -184,68 +216,95 @@ def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
     A block whose keys are all causally masked for a row leaves that row's
     state unchanged; a block that no query row sees returns ``state``
     itself.  Otherwise returns a new state.  The input is never mutated.
+
+    In place: with ``out`` from ``start_fold(q_block, q_positions)``, pass
+    the fold's own ``state``, ``q`` and ``q_positions``; only the KV block is
+    checked, and it folds into ``out.state``, which is returned.
+
+    Provably-zero work is skipped.  Bitwise exact: the rescale on a fresh
+    fold's first visible block (zeros times 0), the -inf guard once every
+    row has seen a key, the causal mask on a block every row fully sees, and
+    rows that see no key of the block.  Keys that no row sees weigh exactly
+    0, but dropping them shortens the matmul and sum, which can move last bits.
     """
-    q = _check_array(q_block, "q_block", 3)
+    if out is None:
+        out = start_fold(q_block, q_positions, state)
+    elif state is not out.state or q_block is not out.q or q_positions is not out.q_positions:
+        raise ValueError("out must be the fold of this state, q_block and q_positions")
     k = _check_array(k_block, "k_block", 3)
     v = _check_array(v_block, "v_block", 3)
-    heads, n_q, head_dim = q.shape
-    if state.partial_output.shape != (heads, n_q, head_dim):
-        raise ValueError(
-            f"state shape {state.partial_output.shape} does not match "
-            f"q_block shape {q.shape}"
-        )
     if v.shape != k.shape:
         raise ValueError(f"v_block shape {v.shape} does not match k_block {k.shape}")
-    if heads % k.shape[0] != 0:
+    if out.q.shape[0] % k.shape[0] != 0:
         raise ValueError(
-            f"kv head count {k.shape[0]} does not divide q head count {heads}"
+            f"kv head count {k.shape[0]} does not divide q head count {out.q.shape[0]}"
         )
-    q_pos = _check_positions(q_positions, "q_positions", n_q)
     kv_pos = _check_positions(kv_positions, "kv_positions", k.shape[1])
+    q_pos, (q_lo, q_hi) = out.q_positions, out.q_span
+    if kv_pos.size == 0 or q_pos.size == 0:
+        return out.state
+    kv_lo, kv_hi = kv_pos.min(), kv_pos.max()
     # Every key lies after every query: the update would rescale by 1 and
     # add 0, so skip the arithmetic.
-    if kv_pos.size == 0 or q_pos.size == 0 or kv_pos.min() > q_pos.max():
-        return state
-
-    scores = _masked_scores(q, k, q_pos, kv_pos)
+    if kv_lo > q_hi:
+        return out.state
+    # Leading rows before the first key and trailing keys after the last
+    # query see nothing.
+    first = 0 if kv_lo <= q_lo else int(np.argmax(q_pos >= kv_lo))
+    stop = kv_pos.size if kv_hi <= q_hi else kv_pos.size - int(np.argmax(kv_pos[::-1] <= q_hi))
+    scores = _masked_scores(out.q[:, first:], k[:, :stop], q_pos[first:], kv_pos[:stop])
     block_max = scores.max(axis=-1)  # -inf on rows fully masked in this block
-    new_max = np.maximum(state.running_max, block_max)
-    # Shift by 0 instead of -inf for rows that have still seen no key, so the
-    # exponentials below evaluate to exact 0.0 rather than nan.
-    safe_max = np.where(np.isneginf(new_max), 0.0, new_max)
+
+    if not out.owned:
+        out.state = AttentionState(*(a.copy() for a in out.state.as_arrays()))
+        out.owned = True
+    output, running_max, denominator = (a[:, first:] for a in out.state.as_arrays())
+    new_max = block_max if out.fresh else np.maximum(running_max, block_max)
+    if out.all_seen:
+        safe_max = new_max
+    else:
+        # Shift by 0 instead of -inf for rows that have still seen no key, so
+        # the exponentials below evaluate to exact 0.0 rather than nan.
+        unseen = np.isneginf(new_max)
+        safe_max = np.where(unseen, 0.0, new_max)
+        out.all_seen = first == 0 and not unseen.any()
     scores -= safe_max[..., np.newaxis]
     weights = np.exp(scores, out=scores)
-    rescale = np.exp(state.running_max - safe_max)
-    partial_output = _grouped_matmul(weights, v)
-    partial_output += state.partial_output * rescale[..., np.newaxis]
-    return AttentionState(
-        partial_output=partial_output,
-        running_max=new_max,
-        running_denominator=state.running_denominator * rescale + weights.sum(axis=-1),
-    )
+    if not out.fresh:
+        rescale = np.exp(running_max - safe_max)
+        output *= rescale[..., np.newaxis]
+        denominator *= rescale
+    out.fresh = False
+    output += _grouped_matmul(weights, v[:, :stop])
+    denominator += weights.sum(axis=-1)
+    running_max[...] = new_max
+    return out.state
 
 
-def merge_attention_partials(a: AttentionState, b: AttentionState) -> AttentionState:
-    """Log-sum-exp merge of two accumulators over disjoint key sets.
+def merge_attention_partials(*states: AttentionState) -> AttentionState:
+    """Log-sum-exp merge of accumulators over disjoint key sets.
 
     Finalizing the merge equals finalizing a single accumulation over the
-    union of both key sets; the empty state is the identity element.
+    union of all key sets; the empty state is the identity element.  Each
+    partial is rescaled once to the common maximum, and the terms are summed
+    in argument order.
     """
-    if a.partial_output.shape != b.partial_output.shape:
-        raise ValueError(
-            f"query dimensions differ: {a.partial_output.shape} vs "
-            f"{b.partial_output.shape}"
-        )
-    merged_max = np.maximum(a.running_max, b.running_max)
+    for other in states[1:]:
+        if other.partial_output.shape != states[0].partial_output.shape:
+            raise ValueError(
+                f"query dimensions differ: {states[0].partial_output.shape} vs "
+                f"{other.partial_output.shape}"
+            )
+    maxima = np.stack([s.running_max for s in states])
+    merged_max = maxima.max(axis=0)
     safe_max = np.where(np.isneginf(merged_max), 0.0, merged_max)
-    scale_a = np.exp(a.running_max - safe_max)
-    scale_b = np.exp(b.running_max - safe_max)
+    scale = np.exp(maxima - safe_max)
+    outputs = np.stack([s.partial_output for s in states])
+    denominators = np.stack([s.running_denominator for s in states])
     return AttentionState(
-        partial_output=a.partial_output * scale_a[..., np.newaxis]
-        + b.partial_output * scale_b[..., np.newaxis],
+        partial_output=(outputs * scale[..., np.newaxis]).sum(axis=0),
         running_max=merged_max,
-        running_denominator=a.running_denominator * scale_a
-        + b.running_denominator * scale_b,
+        running_denominator=(denominators * scale).sum(axis=0),
     )
 
 

@@ -25,7 +25,7 @@ from .numeric import (
     AttentionSpec,
     blockwise_attention_step,
     finalize_attention,
-    init_attention_state,
+    start_fold,
 )
 from .sharding import ShardPlan, contiguous_shard, zigzag_shard
 
@@ -197,21 +197,24 @@ def _ring_pass(handle, ring_group, q, k, v, q_pos, kv_positions_of):
     """Rotate KV around ``ring_group`` and accumulate blockwise attention.
 
     ``kv_positions_of(member)`` returns the global positions of the KV rows
-    originally held by that ring member.  R-1 point-to-point hops.
+    originally held by that ring member.  R-1 point-to-point hops.  The
+    pass checks ``q`` and its positions once and folds every KV block into
+    one accumulator in place; each received block is still checked.
     """
     ring = tuple(ring_group)
     size = len(ring)
     me = ring.index(handle.rank)
-    state = init_attention_state(q.shape[0], q.shape[1], q.shape[2])
+    fold = start_fold(q, q_pos)
     kv = (k, v)
     for hop in range(size):
         source = ring[(me - hop) % size]
-        state = blockwise_attention_step(state, q, kv[0], kv[1], q_pos, kv_positions_of(source))
+        blockwise_attention_step(fold.state, fold.q, kv[0], kv[1], fold.q_positions,
+                                 kv_positions_of(source), out=fold)
         if hop < size - 1:
             dst = ring[(me + 1) % size]
             src = ring[(me - 1) % size]
             kv = handle.send_recv(ring, dst, src, kv)
-    return finalize_attention(state)
+    return finalize_attention(fold.state)
 
 
 def _head_slices(total: int, parts: int):

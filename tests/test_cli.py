@@ -1,13 +1,21 @@
 """CLI: subcommands, config validation, determinism, fault injection."""
 
 import argparse
+import dataclasses
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spsim.cli import SCENARIO_KEYS, ConfigError, _verify_length, load_scenario, main
+from spsim import perf
+from spsim.cli import (SCENARIO_KEYS, ConfigError, _verify_length, comm_model_ok,
+                       load_scenario, main)
+from spsim.fabric import CommLog, Topology, build_mesh
+from spsim.numeric import AttentionSpec
+from spsim.strategies import StrategyConfig, execute_strategy
 
 SMALL_SCENARIO = {
     "topology": {"nodes": 2, "gpus_per_node": 2},
@@ -189,6 +197,26 @@ class TestVerify:
         assert ",FAIL," in text
         assert "tampered message from rank" in text
         assert "at step" in text
+
+    def test_comm_model_row_checks_every_message_not_only_byte_totals(self):
+        spec = AttentionSpec(num_q_heads=4, num_kv_heads=2, head_dim=4)
+        cfg = StrategyConfig("zigzag_ring", p2p_degree=4)
+        mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=4), 1, 4)
+        rng = np.random.default_rng(7)
+        q, k, v = (rng.standard_normal((h, 16, 4)) for h in (4, 2, 2))
+        run = execute_strategy(mesh, cfg, spec, q, k, v)
+        volume = perf.comm_volume(cfg, spec, 16, mesh)
+        messages = Counter(perf.strategy_messages(cfg, spec, 16, mesh))
+        assert comm_model_ok(volume, messages, run.log)
+
+        moved = CommLog()
+        first = run.log.records[0]
+        other = next(r for r in range(4) if r not in (first.src, first.dst))
+        moved.records = [dataclasses.replace(first, dst=other), *run.log.records[1:]]
+        for kind in ("p2p", "a2a"):
+            for link in ("intra", "inter"):
+                assert perf.volume_total(volume, kind, link) == moved.total_bytes(kind, link)
+        assert not comm_model_ok(volume, messages, moved)
 
 
 class TestDeterminism:

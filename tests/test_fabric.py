@@ -222,6 +222,35 @@ class TestRunProgram:
         assert outputs == [([(1, 0), (0, 0)], [(1, 1), (0, 1)])] * 2
         assert len(log) == 4
 
+    def test_member_waiting_on_another_group_has_not_arrived(self):
+        # Rank 2 reaches (1, 2) while rank 1 still waits on (1, 3).  That
+        # group resolves next and then (1, 2) does: the program is matched.
+        mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=4))
+
+        def program(h):
+            out = []
+            if h.rank in (1, 3):
+                out.append(h.all_gather((1, 3), h.rank))
+            if h.rank in (1, 2):
+                out.append(h.all_gather((1, 2), h.rank))
+            return out
+
+        outputs, log = run_program(mesh, program)
+        assert outputs == [[], [[1, 3], [1, 2]], [[1, 2]], [[1, 3]]]
+        assert len(log) == 4
+
+    def test_cyclic_group_wait_is_a_mismatch(self):
+        mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=3))
+        groups = [(0, 1), (1, 2), (0, 2)]
+
+        def program(h):
+            return h.all_gather(groups[h.rank], h.rank)
+
+        with pytest.raises(CollectiveMismatchError,
+                           match=r"group mismatch at step 0: rank 1 joined \(1, 2\) "
+                                 r"while peers use \(0, 1\)"):
+            run_program(mesh, program)
+
     def test_p2p_requires_permutation(self):
         mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=2))
 

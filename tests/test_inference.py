@@ -167,6 +167,25 @@ class TestDecode:
         np.testing.assert_array_equal(
             union, np.arange(plan.original_length + 1))
 
+    def test_one_merge_call_per_rank_and_layer(self, monkeypatch):
+        # perfbench's numeric.merge metrics wrap this name: each rank merges
+        # a layer's gathered partials, one per rank, in a single call.
+        import spsim.inference as inference
+
+        mesh = make_mesh(4)
+        encoded, plan = make_prompt(mesh)
+        state = sp_prefill(mesh, encoded, plan, StubModel(SPEC, eos_token_id=-1))
+        calls = []
+        original = inference.merge_attention_partials
+
+        def counted(*states):
+            calls.append(len(states))
+            return original(*states)
+
+        monkeypatch.setattr(inference, "merge_attention_partials", counted)
+        sp_decode_step(mesh, state)
+        assert calls == [4] * (4 * SPEC.num_layers)
+
 
 class TestPipelineBaseline:
     TOPO = Topology(num_nodes=1, gpus_per_node=8)

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spsim.fabric import Topology, build_mesh
 from spsim.numeric import (
     AttentionSpec,
     blockwise_attention_step,
@@ -12,7 +15,9 @@ from spsim.numeric import (
     init_attention_state,
     merge_attention_partials,
     reference_attention,
+    start_fold,
 )
+from spsim.strategies import STRATEGY_KINDS, execute_strategy, resolve_strategy
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +326,103 @@ class TestMergePartials:
     def test_finalize_requires_visited_rows(self):
         with pytest.raises(ValueError, match="never saw a key"):
             finalize_attention(init_attention_state(1, 3, 2))
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the fold and the merge
+# ---------------------------------------------------------------------------
+
+@st.composite
+def fold_chains(draw):
+    """(spec, length, q positions, KV blocks, data seed).
+
+    The query rows are a random subset of [0, length) or two zigzag-like
+    chunks.  The KV blocks partition [0, length) in random order, and some
+    may be empty, so a block can be fully masked, partly masked or fully
+    seen, and rows can see nothing of it.  Every position list ascends.
+    """
+    kv_heads = draw(st.sampled_from((1, 2)))
+    spec = AttentionSpec(num_q_heads=kv_heads * draw(st.sampled_from((1, 2, 4))),
+                         num_kv_heads=kv_heads, head_dim=draw(st.sampled_from((1, 4, 8))))
+    length = draw(st.integers(2, 24))
+    if draw(st.booleans()):
+        q_pos = sorted(draw(st.sets(st.integers(0, length - 1), min_size=1)))
+    else:
+        a, b, c, d = sorted(draw(st.lists(st.integers(0, length), min_size=4, max_size=4)))
+        q_pos = list(range(a, b)) + list(range(c, d)) or [length - 1]
+    owner = draw(st.lists(st.integers(0, 3), min_size=length, max_size=length))
+    order = draw(st.permutations(range(4)))
+    blocks = [np.array([p for p in range(length) if owner[p] == b], dtype=np.int64)
+              for b in order]
+    return spec, length, np.array(q_pos, dtype=np.int64), blocks, draw(st.integers(0, 2**16))
+
+
+def _chain_inputs(chain):
+    spec, length, q_pos, blocks, seed = chain
+    q, k, v = _random_qkv(np.random.default_rng(seed), spec, length)
+    return spec, q[:, q_pos], k, v, q_pos, blocks
+
+
+def _partials(q, k, v, q_pos, blocks):
+    """One fresh fold per block, as each rank's partial in decode."""
+    states = []
+    for block in blocks:
+        fold = start_fold(q, q_pos)
+        blockwise_attention_step(fold.state, fold.q, k[:, block], v[:, block],
+                                 fold.q_positions, block, out=fold)
+        states.append(fold.state)
+    return states
+
+
+class TestFoldProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(chain=fold_chains())
+    def test_in_place_fold_equals_functional_form_bitwise(self, chain):
+        _spec, q, k, v, q_pos, blocks = _chain_inputs(chain)
+        state = init_attention_state(*q.shape)
+        fold = start_fold(q, q_pos)
+        for block in blocks:
+            state = blockwise_attention_step(state, q, k[:, block], v[:, block], q_pos, block)
+            blockwise_attention_step(fold.state, fold.q, k[:, block], v[:, block],
+                                     fold.q_positions, block, out=fold)
+        for functional, in_place in zip(state.as_arrays(), fold.state.as_arrays()):
+            assert functional.tobytes() == in_place.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(chain=fold_chains())
+    def test_finalized_fold_chain_matches_reference(self, chain):
+        spec, q, k, v, q_pos, blocks = _chain_inputs(chain)
+        fold = start_fold(q, q_pos)
+        for block in blocks:
+            blockwise_attention_step(fold.state, fold.q, k[:, block], v[:, block],
+                                     fold.q_positions, block, out=fold)
+        want = reference_attention(q, k, v, spec, q_positions=q_pos)
+        assert np.max(np.abs(finalize_attention(fold.state) - want)) < 1e-10
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(chain=fold_chains(), data=st.data())
+    def test_n_ary_merge_equals_pairwise_left_fold_in_any_order(self, chain, data):
+        _spec, q, k, v, q_pos, blocks = _chain_inputs(chain)
+        states = _partials(q, k, v, q_pos, blocks)
+        merged = merge_attention_partials(*states)
+        pairwise = states[0]
+        for state in states[1:]:
+            pairwise = merge_attention_partials(pairwise, state)
+        shuffled = merge_attention_partials(*data.draw(st.permutations(states)))
+        for other in (pairwise, shuffled):
+            for a, b in zip(merged.as_arrays(), other.as_arrays()):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(STRATEGY_KINDS), tensor=st.sampled_from(("q", "k")),
+           head=st.integers(0, 1), position=st.integers(0, 15))
+    def test_nan_in_one_rank_raises_through_execute_strategy(self, kind, tensor, head,
+                                                            position):
+        spec = AttentionSpec(num_q_heads=4, num_kv_heads=2, head_dim=4)
+        config = resolve_strategy(spec, 4, kind, a2a=2 if kind == "two_d" else 0)
+        mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=4),
+                          config.a2a_degree, config.p2p_degree)
+        q, k, v = _random_qkv(np.random.default_rng(position), spec, 16)
+        {"q": q, "k": k}[tensor][head, position, 0] = np.nan
+        with pytest.raises(ValueError, match=f"{tensor}_block contains non-finite entries"):
+            execute_strategy(mesh, config, spec, q, k, v)

@@ -296,3 +296,28 @@ class TestPlanForStrategy:
         q, k, v = random_qkv(rng, spec, 32)
         with pytest.raises(ValueError, match="does not match mesh"):
             execute_strategy(mesh, config, spec, q, k, v)
+
+
+class TestTracedNames:
+    """perfbench's per-layer metrics wrap ``strategies.blockwise_attention_step``
+    by name: every ring hop must call it exactly once."""
+
+    @pytest.mark.parametrize("kind,a2a,p2p,hops", [
+        ("zigzag_ring", 1, 8, 64),
+        ("two_d", 2, 4, 32),
+    ])
+    def test_one_step_call_per_ring_hop(self, monkeypatch, kind, a2a, p2p, hops):
+        import spsim.strategies as strategies
+
+        calls = []
+        original = strategies.blockwise_attention_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(strategies, "blockwise_attention_step", counted)
+        q, k, v = random_qkv(np.random.default_rng(9), SPEC, 32)
+        config = StrategyConfig(kind, a2a_degree=a2a, p2p_degree=p2p)
+        execute_strategy(sp_mesh(a2a * p2p, a2a), config, SPEC, q, k, v)
+        assert len(calls) == hops
