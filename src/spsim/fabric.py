@@ -527,18 +527,27 @@ class _Runtime:
                 raise FabricError(f"broadcast root {root} not in group {group}")
         received = {m: [] for m in group}
         for sender, op in zip(group, ops):  # deterministic log order: sender-major
+            sizes: dict[int, int] = {}  # id(payload) -> bytes, once per distinct payload
             for dst, payload in op.edges:
-                received[dst].append(self._deliver(op.step, kind, sender, dst, payload))
+                received[dst].append(self._deliver(op.step, kind, sender, dst, payload, sizes))
         for m, op in zip(group, ops):
             self.results[m] = received[m] if op.source is None else received[m][0]
             self.state[m] = _READY
 
-    def _deliver(self, step: int, kind: str, src: int, dst: int, payload):
-        """Log one directed message and return the (possibly tampered) payload."""
+    def _deliver(self, step: int, kind: str, src: int, dst: int, payload,
+                 sizes: dict[int, int]):
+        """Log one directed message and return the (possibly tampered) payload.
+
+        ``sizes`` holds the sizes of the sender's payloads already sent: an
+        all_gather or broadcast sends one payload on every edge.
+        """
         if src == dst:
             return payload
+        nbytes = sizes.get(id(payload))
+        if nbytes is None:
+            nbytes = sizes[id(payload)] = payload_nbytes(payload)
         link = self.mesh.topology.link_class(src, dst)
-        self.log.append(CommRecord(step, kind, src, dst, payload_nbytes(payload), link))
+        self.log.append(CommRecord(step, kind, src, dst, nbytes, link))
         index = self.msg_counter
         self.msg_counter += 1
         if self.fault is not None and index == self.fault.message_index:

@@ -19,9 +19,9 @@ from .numeric import (
     AttentionSpec,
     blockwise_attention_step,
     finalize_attention,
-    init_attention_state,
     merge_attention_partials,
     reference_attention,
+    start_fold,
     AttentionState,
 )
 from .sharding import EncodedSequence, ShardPlan, text_embedding_stub
@@ -69,6 +69,7 @@ class StubModel:
             self.w_o.append(rng.standard_normal((spec.num_q_heads * spec.head_dim, hidden)) * scale)
         head_rng = np.random.default_rng([_MODEL_SEED, spec.num_layers, 1])
         self.w_head = head_rng.standard_normal((hidden, vocab_size)) * scale
+        self._embedding_rows: dict[int, np.ndarray] = {}  # vocabulary id -> row
 
     @property
     def num_layers(self) -> int:
@@ -79,7 +80,17 @@ class StubModel:
         return self.spec.hidden_size
 
     def embed(self, token_ids) -> np.ndarray:
-        return text_embedding_stub(token_ids, self.hidden_size)
+        """``text_embedding_stub`` rows; a vocabulary id's row is derived once."""
+        rows = np.empty((len(token_ids), self.hidden_size))
+        for i, token_id in enumerate(token_ids):
+            token_id = int(token_id)
+            row = self._embedding_rows.get(token_id)
+            if row is None:
+                row = text_embedding_stub([token_id], self.hidden_size)[0]
+                if 0 <= token_id < self.vocab_size:
+                    self._embedding_rows[token_id] = row
+            rows[i] = row
+        return rows
 
     def qkv(self, layer: int, x: np.ndarray):
         """Project (n, hidden) rows into per-head q/k/v tensors."""
@@ -241,26 +252,24 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
         if token == model.eos_token_id:
             return token, None, None
         x = model.embed([token])
-        new_kv = []
+        new_caches = []  # the owner's caches with the new token appended
         for layer in range(model.num_layers):
             q, k, v = model.qkv(layer, x)
             cache = state.caches[rank][layer]
             if rank == owner:
-                local_k = np.concatenate([cache.k, k], axis=1)
-                local_v = np.concatenate([cache.v, v], axis=1)
-                local_pos = np.concatenate([cache.positions, q_pos])
-            else:
-                local_k, local_v, local_pos = cache.k, cache.v, cache.positions
-            partial = init_attention_state(model.spec.num_q_heads, 1, model.spec.head_dim)
-            if local_pos.size:
-                partial = blockwise_attention_step(partial, q, local_k, local_v,
-                                                   q_pos, local_pos)
-            gathered = handle.all_gather(group, partial.as_arrays())
+                cache = LayerCache(k=np.concatenate([cache.k, k], axis=1),
+                                   v=np.concatenate([cache.v, v], axis=1),
+                                   positions=np.concatenate([cache.positions, q_pos]))
+                new_caches.append(cache)
+            fold = start_fold(q, q_pos)
+            if cache.positions.size:
+                blockwise_attention_step(fold.state, fold.q, cache.k, cache.v,
+                                         fold.q_positions, cache.positions, out=fold)
+            gathered = handle.all_gather(group, fold.state.as_arrays())
             merged = merge_attention_partials(*(AttentionState(*arrays) for arrays in gathered))
             out = finalize_attention(merged)
             x = model.project_out(layer, out) + x
-            new_kv.append((k, v))
-        return token, x[0], new_kv
+        return token, x[0], new_caches
 
     outputs, log = run_program(mesh, program)
     state.comm_log.extend(log)
@@ -268,15 +277,7 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
     if token == model.eos_token_id:
         state.finished = True
         return token, state
-    _, last_hidden, new_kv = outputs[owner]
-    for layer, (k, v) in enumerate(new_kv):
-        cache = state.caches[owner][layer]
-        state.caches[owner][layer] = LayerCache(
-            k=np.concatenate([cache.k, k], axis=1),
-            v=np.concatenate([cache.v, v], axis=1),
-            positions=np.concatenate([cache.positions, q_pos]),
-        )
-    state.last_hidden = last_hidden
+    _, state.last_hidden, state.caches[owner] = outputs[owner]
     state.next_position = pos + 1
     state.generated.append(token)
     return token, state

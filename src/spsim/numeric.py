@@ -120,10 +120,16 @@ def _grouped_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(stacked, b).reshape(heads, n, b.shape[2])
 
 
-def _masked_scores(q, k, q_pos, kv_pos) -> np.ndarray:
-    """Scaled scores (heads, n_q, n_k) with causally masked entries at -inf."""
+def _scores(q, k) -> np.ndarray:
+    """Scaled scores (heads, n_q, n_k), no mask."""
     scores = _grouped_matmul(q, k.transpose(0, 2, 1))
     scores *= 1.0 / math.sqrt(q.shape[2])
+    return scores
+
+
+def _masked_scores(q, k, q_pos, kv_pos) -> np.ndarray:
+    """Scaled scores (heads, n_q, n_k) with causally masked entries at -inf."""
+    scores = _scores(q, k)
     masked = kv_pos[np.newaxis, :] > q_pos[:, np.newaxis]
     if masked.any():  # every row sees every key of the block otherwise
         np.copyto(scores, -np.inf, where=masked)
@@ -248,26 +254,36 @@ def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
     # add 0, so skip the arithmetic.
     if kv_lo > q_hi:
         return out.state
-    # Leading rows before the first key and trailing keys after the last
-    # query see nothing.
-    first = 0 if kv_lo <= q_lo else int(np.argmax(q_pos >= kv_lo))
-    stop = kv_pos.size if kv_hi <= q_hi else kv_pos.size - int(np.argmax(kv_pos[::-1] <= q_hi))
-    scores = _masked_scores(out.q[:, first:], k[:, :stop], q_pos[first:], kv_pos[:stop])
-    block_max = scores.max(axis=-1)  # -inf on rows fully masked in this block
-
     if not out.owned:
         out.state = AttentionState(*(a.copy() for a in out.state.as_arrays()))
         out.owned = True
-    output, running_max, denominator = (a[:, first:] for a in out.state.as_arrays())
-    new_max = block_max if out.fresh else np.maximum(running_max, block_max)
-    if out.all_seen:
-        safe_max = new_max
+    if kv_hi <= q_lo:
+        # Every row sees every key (each decode block, each earlier block of
+        # a contiguous ring): no mask and no trimming, and afterwards every
+        # row has seen a key.
+        output, running_max, denominator = out.state.as_arrays()
+        scores = _scores(out.q, k)
+        block_max = scores.max(axis=-1)
+        safe_max = new_max = block_max if out.fresh else np.maximum(running_max, block_max)
+        out.all_seen = True
     else:
-        # Shift by 0 instead of -inf for rows that have still seen no key, so
-        # the exponentials below evaluate to exact 0.0 rather than nan.
-        unseen = np.isneginf(new_max)
-        safe_max = np.where(unseen, 0.0, new_max)
-        out.all_seen = first == 0 and not unseen.any()
+        # Leading rows before the first key and trailing keys after the last
+        # query see nothing.
+        first = 0 if kv_lo <= q_lo else int(np.argmax(q_pos >= kv_lo))
+        stop = kv_pos.size if kv_hi <= q_hi else kv_pos.size - int(np.argmax(kv_pos[::-1] <= q_hi))
+        scores = _masked_scores(out.q[:, first:], k[:, :stop], q_pos[first:], kv_pos[:stop])
+        v = v[:, :stop]
+        output, running_max, denominator = (a[:, first:] for a in out.state.as_arrays())
+        block_max = scores.max(axis=-1)  # -inf on rows fully masked in this block
+        new_max = block_max if out.fresh else np.maximum(running_max, block_max)
+        if out.all_seen:
+            safe_max = new_max
+        else:
+            # Shift by 0 instead of -inf for rows that have still seen no key,
+            # so the exponentials below evaluate to exact 0.0 rather than nan.
+            unseen = np.isneginf(new_max)
+            safe_max = np.where(unseen, 0.0, new_max)
+            out.all_seen = first == 0 and not unseen.any()
     scores -= safe_max[..., np.newaxis]
     weights = np.exp(scores, out=scores)
     if not out.fresh:
@@ -275,7 +291,7 @@ def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
         output *= rescale[..., np.newaxis]
         denominator *= rescale
     out.fresh = False
-    output += _grouped_matmul(weights, v[:, :stop])
+    output += _grouped_matmul(weights, v)
     denominator += weights.sum(axis=-1)
     running_max[...] = new_max
     return out.state
@@ -289,27 +305,31 @@ def merge_attention_partials(*states: AttentionState) -> AttentionState:
     partial is rescaled once to the common maximum, and the terms are summed
     in argument order.
     """
+    if not states:
+        raise ValueError("merge_attention_partials needs at least one state")
     for other in states[1:]:
         if other.partial_output.shape != states[0].partial_output.shape:
             raise ValueError(
                 f"query dimensions differ: {states[0].partial_output.shape} vs "
                 f"{other.partial_output.shape}"
             )
-    maxima = np.stack([s.running_max for s in states])
+    maxima = np.array([s.running_max for s in states])
     merged_max = maxima.max(axis=0)
-    safe_max = np.where(np.isneginf(merged_max), 0.0, merged_max)
-    scale = np.exp(maxima - safe_max)
-    outputs = np.stack([s.partial_output for s in states])
-    denominators = np.stack([s.running_denominator for s in states])
+    maxima -= np.where(merged_max == -np.inf, 0.0, merged_max)
+    scale = np.exp(maxima, out=maxima)
+    outputs = np.array([s.partial_output for s in states])
+    outputs *= scale[..., np.newaxis]
+    denominators = np.array([s.running_denominator for s in states])
+    denominators *= scale
     return AttentionState(
-        partial_output=(outputs * scale[..., np.newaxis]).sum(axis=0),
+        partial_output=outputs.sum(axis=0),
         running_max=merged_max,
-        running_denominator=(denominators * scale).sum(axis=0),
+        running_denominator=denominators.sum(axis=0),
     )
 
 
 def finalize_attention(state: AttentionState) -> np.ndarray:
     """Normalize the accumulator into the attention output."""
-    if np.any(state.running_denominator <= 0.0):
+    if (state.running_denominator <= 0.0).any():
         raise ValueError("cannot finalize: some query rows never saw a key")
     return state.partial_output / state.running_denominator[..., np.newaxis]

@@ -144,6 +144,20 @@ class ShardPlan:
             built.append(positions)
         return tuple(built)
 
+    def group_positions(self, ranks: tuple[int, ...]) -> np.ndarray:
+        """Sorted global positions of a group of ranks' rows (read-only, built
+        once per group and plan)."""
+        positions = self._group_positions.get(ranks)
+        if positions is None:
+            positions = np.sort(np.concatenate([self.rank_positions(r) for r in ranks]))
+            positions.flags.writeable = False
+            self._group_positions[ranks] = positions
+        return positions
+
+    @cached_property
+    def _group_positions(self) -> dict[tuple[int, ...], np.ndarray]:
+        return {}
+
     def rank_of_chunk(self, chunk: int) -> int:
         for rank, chunks in enumerate(self.assignments):
             if chunk in chunks:

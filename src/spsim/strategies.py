@@ -254,8 +254,7 @@ def attention_rank_body(handle, mesh, plan, spec, q, k, v, kv_replication):
     positions = raw_positions[order]
 
     def segment_positions(ring_member):
-        group = mesh.a2a_group_of(ring_member)
-        return np.sort(np.concatenate([plan.rank_positions(m) for m in group]))
+        return plan.group_positions(mesh.a2a_group_of(ring_member))
 
     out_seg = _ring_pass(handle, ring_group, q_seg, k_seg, v_seg, positions, segment_positions)
 

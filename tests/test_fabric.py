@@ -547,3 +547,27 @@ class TestPayloadBytes:
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             payload_nbytes({"a": 1})
+
+    def test_every_edge_logs_the_size_of_its_own_payload(self):
+        mesh = build_mesh(two_node_topology(2), 1, 4)
+
+        def payload(rank):
+            return (np.zeros((rank + 1, 3)), rank, [np.ones(2), None])
+
+        _, log = run_program(mesh, lambda h: h.all_gather((0, 1, 2, 3), payload(h.rank)))
+        assert len(log) == 12
+        for record in log.records:
+            assert record.nbytes == payload_nbytes(payload(record.src))
+        # An all_to_all sends a different payload on each edge.
+        _, log = run_program(mesh, lambda h: h.all_to_all(
+            (0, 1, 2, 3), [np.zeros(h.rank + dst) for dst in range(4)]))
+        assert [(r.src, r.dst, r.nbytes) for r in log.records] == [
+            (src, dst, 8 * (src + dst)) for src in range(4) for dst in range(4) if src != dst]
+
+    def test_unsizable_payload_raises_type_error_once_it_leaves_its_rank(self):
+        mesh = build_mesh(two_node_topology(1), 1, 2)
+        with pytest.raises(TypeError, match="cannot size payload of type <class 'object'>"):
+            run_program(mesh, lambda h: h.all_gather((0, 1), object()))
+        # A value kept on its own rank is never sized.
+        outputs, log = run_program(mesh, lambda h: h.all_gather((h.rank,), object()))
+        assert len(log) == 0 and all(len(o) == 1 for o in outputs)

@@ -5,7 +5,13 @@ import pytest
 
 from spsim.fabric import Topology, build_mesh
 from spsim.numeric import AttentionSpec
-from spsim.sharding import SampleSpec, build_sequences, encode_batch, globalize_and_pad
+from spsim.sharding import (
+    SampleSpec,
+    build_sequences,
+    encode_batch,
+    globalize_and_pad,
+    text_embedding_stub,
+)
 from spsim.inference import (
     StubModel,
     decode_greedy,
@@ -35,6 +41,19 @@ def make_prompt(mesh, text_tokens=30, frames=1, tokens_per_frame=5):
     pieces = encode_batch(batch, tokens_per_frame=tokens_per_frame,
                           hidden=SPEC.hidden_size)
     return globalize_and_pad(pieces, mesh)
+
+
+class TestStubModel:
+    def test_embed_equals_text_embedding_stub(self):
+        model = StubModel(SPEC, vocab_size=16)
+        hidden = model.hidden_size
+        for token_id in range(model.vocab_size):
+            np.testing.assert_array_equal(model.embed([token_id]),
+                                          text_embedding_stub([token_id], hidden))
+        # Repeated ids, an id past the vocabulary, a numpy integer and no ids.
+        for ids in ([3, 3, 7, 3, 0], [3, 16, 3], [np.int64(5), 1_000_000], []):
+            for _ in range(2):
+                np.testing.assert_array_equal(model.embed(ids), text_embedding_stub(ids, hidden))
 
 
 class TestPrefill:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spsim.fabric import Topology, build_mesh
 from spsim.numeric import (
     AttentionSpec,
+    AttentionState,
     blockwise_attention_step,
     finalize_attention,
     init_attention_state,
@@ -269,6 +270,19 @@ class TestBlockwiseAccumulation:
             )
 
 
+def _stacked_merge(*states):
+    """The n-ary merge as first written, one np.stack per field: the
+    reference that the merge must match bit for bit."""
+    maxima = np.stack([s.running_max for s in states])
+    merged_max = maxima.max(axis=0)
+    safe_max = np.where(np.isneginf(merged_max), 0.0, merged_max)
+    scale = np.exp(maxima - safe_max)
+    outputs = np.stack([s.partial_output for s in states])
+    denominators = np.stack([s.running_denominator for s in states])
+    return ((outputs * scale[..., np.newaxis]).sum(axis=0), merged_max,
+            (denominators * scale).sum(axis=0))
+
+
 class TestMergePartials:
     def test_merge_with_empty_state_is_identity(self):
         spec = AttentionSpec(num_q_heads=2, num_kv_heads=1, head_dim=4)
@@ -316,6 +330,30 @@ class TestMergePartials:
         got = finalize_attention(merge_attention_partials(*halves))
         want = reference_attention(q, k, v, spec)
         assert np.max(np.abs(got - want)) < 1e-10
+
+    @pytest.mark.parametrize("world", [1, 2, 8])
+    def test_merge_equals_stacked_formula_bitwise(self, world):
+        # Partials with some -inf rows (a rank that saw no key there) and
+        # one row no partial saw; the merge must keep the formula's bits.
+        rng = np.random.default_rng(world)
+        states = []
+        for _ in range(world):
+            running_max = rng.standard_normal((4, 6)) * 5
+            running_max[rng.random((4, 6)) < 0.3] = -np.inf
+            running_max[0, 0] = -np.inf
+            seen = np.isfinite(running_max)
+            states.append(AttentionState(
+                partial_output=np.where(seen[..., None], rng.standard_normal((4, 6, 8)), 0.0),
+                running_max=running_max,
+                running_denominator=np.where(seen, rng.random((4, 6)) + 0.5, 0.0),
+            ))
+        merged = merge_attention_partials(*states)
+        for got, want in zip(merged.as_arrays(), _stacked_merge(*states)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_merge_of_no_states_raises(self):
+        with pytest.raises(ValueError, match="needs at least one state"):
+            merge_attention_partials()
 
     def test_rejects_query_dimension_mismatch(self):
         with pytest.raises(ValueError, match="query dimensions"):
@@ -372,6 +410,34 @@ def _partials(q, k, v, q_pos, blocks):
                                  fold.q_positions, block, out=fold)
         states.append(fold.state)
     return states
+
+
+class TestDecodeFold:
+    """A decode token's query: one row that sees every cached key."""
+
+    @pytest.mark.parametrize("cached", [0, 1, 37])
+    def test_one_row_fold_in_place_equals_functional_form(self, cached):
+        spec = AttentionSpec(num_q_heads=8, num_kv_heads=2, head_dim=16)
+        rng = np.random.default_rng(cached)
+        q, k, v = _random_qkv(rng, spec, max(cached, 1))
+        q, k, v = q[:, :1], k[:, :cached], v[:, :cached]
+        q_pos = np.array([cached + 4])
+        kv_pos = np.sort(rng.choice(cached + 4, cached, replace=False))
+        if cached:
+            kv_pos[-1] = q_pos[0]  # the newest key at the query's position, as on the owner
+        fold = start_fold(q, q_pos)
+        if cached:
+            blockwise_attention_step(fold.state, fold.q, k, v, fold.q_positions, kv_pos,
+                                     out=fold)
+        fresh = init_attention_state(8, 1, 16)
+        functional = blockwise_attention_step(fresh, q, k, v, q_pos, kv_pos)
+        for a, b in zip(functional.as_arrays(), fold.state.as_arrays()):
+            assert a.tobytes() == b.tobytes()
+        if cached:
+            want = reference_attention(q, k, v, spec, q_positions=q_pos, kv_positions=kv_pos)
+            assert np.max(np.abs(finalize_attention(fold.state) - want)) < 1e-10
+        else:
+            assert functional is fresh
 
 
 class TestFoldProperty:

@@ -164,6 +164,15 @@ class TestZigzagPlan:
             positions[0] = 99
         np.testing.assert_array_equal(plan.rank_positions(1), expected)
 
+    def test_group_positions_are_sorted_shared_and_read_only(self):
+        plan = zigzag_shard(32, 4)
+        positions = plan.group_positions((1, 3))
+        assert plan.group_positions((1, 3)) is positions
+        expected = np.sort(np.concatenate([plan.rank_positions(1), plan.rank_positions(3)]))
+        assert positions.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            positions[0] = 99
+
     @pytest.mark.parametrize("sp", [2, 4, 8])
     def test_causal_chunk_pairs_equal_2p_plus_1(self, sp):
         plan = zigzag_shard(8 * sp, sp)
