@@ -332,7 +332,9 @@ def cmd_verify(scenario: Scenario) -> int:
                 if scenario.inject_fault_message is not None and index == 0:
                     fault = FaultInjection(scenario.inject_fault_message)
                 run = execute_strategy(mesh, cfg, spec, q, k, v, fault=fault)
-                diff = float(np.max(np.abs(run.gathered() - oracle)))
+                diff = run.gathered()
+                diff -= oracle
+                diff = float(np.max(np.abs(diff, out=diff)))
                 ok = diff < ORACLE_TOLERANCE
                 detail = ""
                 if run.log.tampered:

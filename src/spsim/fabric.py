@@ -27,6 +27,7 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,8 +119,9 @@ def comm_time(nbytes: float, link: str, topology: Topology) -> float:
     return topology.latency(link) + nbytes / topology.bandwidth(link)
 
 
-@dataclass(frozen=True)
-class CommRecord:
+class CommRecord(NamedTuple):
+    """One off-rank message.  A named tuple: one is built per message."""
+
     step: int
     kind: str  # p2p | a2a | all_gather | broadcast
     src: int

@@ -241,49 +241,59 @@ def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
     v = _check_array(v_block, "v_block", 3)
     if v.shape != k.shape:
         raise ValueError(f"v_block shape {v.shape} does not match k_block {k.shape}")
-    if out.q.shape[0] % k.shape[0] != 0:
-        raise ValueError(
-            f"kv head count {k.shape[0]} does not divide q head count {out.q.shape[0]}"
-        )
-    kv_pos = _check_positions(kv_positions, "kv_positions", k.shape[1])
+    q = out.q
+    heads, n_q, head_dim = q.shape
+    kv_heads, n_k = k.shape[:2]
+    if heads % kv_heads != 0:
+        raise ValueError(f"kv head count {kv_heads} does not divide q head count {heads}")
+    kv_pos = _check_positions(kv_positions, "kv_positions", n_k)
     q_pos, (q_lo, q_hi) = out.q_positions, out.q_span
-    if kv_pos.size == 0 or q_pos.size == 0:
+    if n_k == 0 or n_q == 0:
         return out.state
-    kv_lo, kv_hi = kv_pos.min(), kv_pos.max()
+    kv_lo = np.minimum.reduce(kv_pos)
     # Every key lies after every query: the update would rescale by 1 and
     # add 0, so skip the arithmetic.
     if kv_lo > q_hi:
         return out.state
+    kv_hi = np.maximum.reduce(kv_pos)
     if not out.owned:
         out.state = AttentionState(*(a.copy() for a in out.state.as_arrays()))
         out.owned = True
-    if kv_hi <= q_lo:
-        # Every row sees every key (each decode block, each earlier block of
-        # a contiguous ring): no mask and no trimming, and afterwards every
-        # row has seen a key.
-        output, running_max, denominator = out.state.as_arrays()
-        scores = _scores(out.q, k)
-        block_max = scores.max(axis=-1)
-        safe_max = new_max = block_max if out.fresh else np.maximum(running_max, block_max)
-        out.all_seen = True
-    else:
+    output, running_max, denominator = out.state.as_arrays()
+    # Unless some key lies after the first query, every row sees every key
+    # (each decode block, each earlier block of a contiguous ring): no mask
+    # and no trimming, and afterwards every row has seen a key.
+    masked = kv_hi > q_lo
+    if masked:
         # Leading rows before the first key and trailing keys after the last
         # query see nothing.
-        first = 0 if kv_lo <= q_lo else int(np.argmax(q_pos >= kv_lo))
-        stop = kv_pos.size if kv_hi <= q_hi else kv_pos.size - int(np.argmax(kv_pos[::-1] <= q_hi))
-        scores = _masked_scores(out.q[:, first:], k[:, :stop], q_pos[first:], kv_pos[:stop])
-        v = v[:, :stop]
-        output, running_max, denominator = (a[:, first:] for a in out.state.as_arrays())
-        block_max = scores.max(axis=-1)  # -inf on rows fully masked in this block
-        new_max = block_max if out.fresh else np.maximum(running_max, block_max)
-        if out.all_seen:
-            safe_max = new_max
-        else:
-            # Shift by 0 instead of -inf for rows that have still seen no key,
-            # so the exponentials below evaluate to exact 0.0 rather than nan.
-            unseen = np.isneginf(new_max)
-            safe_max = np.where(unseen, 0.0, new_max)
-            out.all_seen = first == 0 and not unseen.any()
+        first = 0 if kv_lo <= q_lo else int((q_pos >= kv_lo).argmax())
+        if first:
+            n_q -= first
+            q, q_pos = q[:, first:], q_pos[first:]
+            output, running_max, denominator = (
+                output[:, first:], running_max[:, first:], denominator[:, first:])
+        if kv_hi > q_hi:
+            n_k -= int((kv_pos[::-1] <= q_hi).argmax())
+            k, v, kv_pos = k[:, :n_k], v[:, :n_k], kv_pos[:n_k]
+    # The score and value matmuls are _grouped_matmul's, inline.
+    group = heads // kv_heads
+    scores = np.matmul(q.reshape(kv_heads, group * n_q, head_dim), k.transpose(0, 2, 1))
+    scores = scores.reshape(heads, n_q, n_k)
+    scores *= 1.0 / math.sqrt(head_dim)
+    if masked:
+        np.copyto(scores, -np.inf, where=kv_pos > q_pos[:, np.newaxis])
+    block_max = np.maximum.reduce(scores, axis=-1)  # -inf on rows fully masked here
+    new_max = block_max if out.fresh else np.maximum(running_max, block_max)
+    if out.all_seen or not masked:
+        safe_max = new_max
+        out.all_seen = True
+    else:
+        # Shift by 0 instead of -inf for rows that have still seen no key,
+        # so the exponentials below evaluate to exact 0.0 rather than nan.
+        unseen = new_max == -np.inf
+        safe_max = np.where(unseen, 0.0, new_max)
+        out.all_seen = first == 0 and not unseen.any()
     scores -= safe_max[..., np.newaxis]
     weights = np.exp(scores, out=scores)
     if not out.fresh:
@@ -291,8 +301,9 @@ def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
         output *= rescale[..., np.newaxis]
         denominator *= rescale
     out.fresh = False
-    output += _grouped_matmul(weights, v)
-    denominator += weights.sum(axis=-1)
+    output += np.matmul(weights.reshape(kv_heads, group * n_q, n_k), v).reshape(
+        heads, n_q, head_dim)
+    denominator += np.add.reduce(weights, axis=-1)
     running_max[...] = new_max
     return out.state
 

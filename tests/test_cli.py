@@ -1,7 +1,6 @@
 """CLI: subcommands, config validation, determinism, fault injection."""
 
 import argparse
-import dataclasses
 import json
 from collections import Counter
 
@@ -212,7 +211,7 @@ class TestVerify:
         moved = CommLog()
         first = run.log.records[0]
         other = next(r for r in range(4) if r not in (first.src, first.dst))
-        moved.records = [dataclasses.replace(first, dst=other), *run.log.records[1:]]
+        moved.records = [first._replace(dst=other), *run.log.records[1:]]
         for kind in ("p2p", "a2a"):
             for link in ("intra", "inter"):
                 assert perf.volume_total(volume, kind, link) == moved.total_bytes(kind, link)

@@ -1,10 +1,18 @@
 """Sequence-parallel attention strategies, each checked against the oracle."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from spsim.fabric import Topology, build_mesh
-from spsim.numeric import AttentionSpec, reference_attention
+from spsim.fabric import Topology, build_mesh, run_program
+from spsim.numeric import (
+    AttentionSpec,
+    blockwise_attention_step,
+    finalize_attention,
+    reference_attention,
+    start_fold,
+)
 from spsim.sharding import contiguous_shard, zigzag_shard
 from spsim.strategies import (
     StrategyConfig,
@@ -321,3 +329,59 @@ class TestTracedNames:
         config = StrategyConfig(kind, a2a_degree=a2a, p2p_degree=p2p)
         execute_strategy(sp_mesh(a2a * p2p, a2a), config, SPEC, q, k, v)
         assert len(calls) == hops
+
+
+def fold_as_it_arrives(plan, q_shards, k_shards, v_shards):
+    """A ring program that folds each KV block as its hop delivers it.
+
+    The strategies exchange every block first and then fold them in hop
+    order; both orders run the same folds on the same values, so the
+    outputs and the CommLog must agree bit for bit.
+    """
+    def program(handle):
+        rank = handle.rank
+        ring = handle.mesh.p2p_group_of(rank)
+        size, me = len(ring), ring.index(rank)
+        fold = start_fold(q_shards[rank], plan.rank_positions(rank))
+        kv = (k_shards[rank], v_shards[rank])
+        for hop in range(size):
+            source = ring[(me - hop) % size]
+            blockwise_attention_step(fold.state, fold.q, kv[0], kv[1], fold.q_positions,
+                                     plan.rank_positions(source), out=fold)
+            if hop < size - 1:
+                kv = handle.send_recv(ring, ring[(me + 1) % size], ring[(me - 1) % size], kv)
+        return finalize_attention(fold.state)
+
+    return program
+
+
+class TestExchangeThenFold:
+    @pytest.mark.parametrize("kind", ["naive_ring", "zigzag_ring"])
+    def test_equals_folding_each_hop_as_it_arrives(self, kind):
+        mesh = sp_mesh(8, nodes=2)
+        q, k, v = random_qkv(np.random.default_rng(17), SPEC, 64)
+        run = execute_strategy(mesh, StrategyConfig(kind, p2p_degree=8), SPEC, q, k, v)
+        outputs, log = run_program(mesh, fold_as_it_arrives(
+            run.plan, run.plan.shard(q, 1), run.plan.shard(k, 1), run.plan.shard(v, 1)))
+        for rank in range(8):
+            np.testing.assert_array_equal(outputs[rank], run.outputs[rank])
+        assert log.to_rows() == run.log.to_rows()
+
+
+class TestNonFiniteInputs:
+    """A bad block fails the run with the check's own error and leaves no
+    fabric thread behind."""
+
+    @pytest.mark.parametrize("kind,a2a,p2p", [("zigzag_ring", 1, 8), ("two_d", 2, 4)])
+    @pytest.mark.parametrize("tensor,message", [
+        ("k", "k_block contains non-finite entries"),
+        ("q", "q_block contains non-finite entries"),
+    ])
+    def test_nan_shard_raises(self, kind, a2a, p2p, tensor, message):
+        q, k, v = random_qkv(np.random.default_rng(19), SPEC, 64)
+        {"q": q, "k": k}[tensor][1, 37, 3] = np.nan  # in one rank's shard
+        config = StrategyConfig(kind, a2a_degree=a2a, p2p_degree=p2p)
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError, match=message):
+            execute_strategy(sp_mesh(8, a2a), config, SPEC, q, k, v)
+        assert threading.active_count() == threads_before
