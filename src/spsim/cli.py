@@ -321,6 +321,13 @@ def cmd_verify(scenario: Scenario) -> int:
                      for cfg, mesh in zip(configs, meshes)]
         messages = [Counter(perf.strategy_messages(cfg, spec, length, mesh))
                     for cfg, mesh in zip(configs, meshes)]
+        fault_index = scenario.inject_fault_message
+        if fault_index is not None and fault_index >= messages[0].total():
+            raise ConfigError(
+                f"inject_fault_message: index {fault_index} is out of range: strategy "
+                f"{configs[0].kind} (a2a {configs[0].a2a_degree}, p2p "
+                f"{configs[0].p2p_degree}) sends {messages[0].total()} messages per run"
+            )
         for seed_index in range(VERIFY_SEEDS):
             rng = np.random.default_rng([scenario.seed, seed_index])
             q = rng.standard_normal((spec.num_q_heads, length, spec.head_dim))
@@ -329,23 +336,25 @@ def cmd_verify(scenario: Scenario) -> int:
             oracle = reference_attention(q, k, v, spec)
             for index, (cfg, mesh) in enumerate(zip(configs, meshes)):
                 fault = None
-                if scenario.inject_fault_message is not None and index == 0:
-                    fault = FaultInjection(scenario.inject_fault_message)
+                if fault_index is not None and index == 0:
+                    fault = FaultInjection(fault_index)
                 run = execute_strategy(mesh, cfg, spec, q, k, v, fault=fault)
+                log = run.log
                 diff = run.gathered()
+                del run  # its per-rank outputs die before the next run executes
                 diff -= oracle
                 diff = float(np.max(np.abs(diff, out=diff)))
                 ok = diff < ORACLE_TOLERANCE
                 detail = ""
-                if run.log.tampered:
-                    src, _dst, step, _idx = run.log.tampered[0]
+                if log.tampered:
+                    src, _dst, step, _idx = log.tampered[0]
                     detail = f"tampered message from rank {src} at step {step}"
                 rows_of[index].append((
                     "oracle", cfg.kind, cfg.a2a_degree, cfg.p2p_degree,
                     seed_index, "pass" if ok else "FAIL", diff, detail))
                 failures += 0 if ok else 1
 
-                bytes_ok = comm_model_ok(predicted[index], messages[index], run.log)
+                bytes_ok = comm_model_ok(predicted[index], messages[index], log)
                 rows_of[index].append((
                     "comm_model", cfg.kind, cfg.a2a_degree, cfg.p2p_degree,
                     seed_index, "pass" if bytes_ok else "FAIL", 0.0, ""))

@@ -10,6 +10,8 @@ A ring pass folds every KV block it receives into one accumulator in place:
 ``start_fold`` checks the query block once and owns the state, and
 ``blockwise_attention_step(..., out=fold)`` then checks only the KV block.
 The functional call form is the same fold on a copy of the state.
+``finalize_attention(fold.state, out=fold)`` then normalizes the fold's own
+accumulator in place.
 """
 
 from __future__ import annotations
@@ -339,8 +341,19 @@ def merge_attention_partials(*states: AttentionState) -> AttentionState:
     )
 
 
-def finalize_attention(state: AttentionState) -> np.ndarray:
-    """Normalize the accumulator into the attention output."""
+def finalize_attention(state: AttentionState, *,
+                       out: AttentionFold | None = None) -> np.ndarray:
+    """Normalize the accumulator into the attention output.
+
+    Returns a new array; ``state`` is never mutated.  In place: with ``out``
+    the fold that owns ``state``, the partial output is normalized where it
+    lies and returned, and the fold is spent.
+    """
+    if out is not None and (state is not out.state or not out.owned):
+        raise ValueError("out must be the fold that owns this state")
     if (state.running_denominator <= 0.0).any():
         raise ValueError("cannot finalize: some query rows never saw a key")
-    return state.partial_output / state.running_denominator[..., np.newaxis]
+    denominator = state.running_denominator[..., np.newaxis]
+    if out is None:
+        return state.partial_output / denominator
+    return np.divide(state.partial_output, denominator, out=state.partial_output)

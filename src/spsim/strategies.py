@@ -170,11 +170,6 @@ def resolve_strategy(spec: AttentionSpec, world: int, kind: str | None = None,
     raise error
 
 
-def _replicate_kv(kv: np.ndarray, spec: AttentionSpec) -> np.ndarray:
-    """Duplicate each KV head group_size times (pre-A2A replication)."""
-    return np.repeat(kv, spec.group_size, axis=0)
-
-
 @dataclass
 class StrategyRun:
     """Result of executing one strategy on global inputs."""
@@ -203,7 +198,8 @@ def _ring_pass(handle, ring_group, q, k, v, q_pos, kv_positions_of):
     into one accumulator in place; each received block is still checked.
     Exchanging first keeps the folds back to back on one thread: a fold run
     between two thread handoffs starts on a cold working set and costs
-    about 50 % more.
+    about 50 % more.  The pass owns the accumulator, so it finalizes into
+    it and returns it.
     """
     ring = tuple(ring_group)
     size = len(ring)
@@ -217,7 +213,7 @@ def _ring_pass(handle, ring_group, q, k, v, q_pos, kv_positions_of):
     for hop, (k_block, v_block) in enumerate(blocks):
         blockwise_attention_step(fold.state, fold.q, k_block, v_block, fold.q_positions,
                                  kv_positions_of(ring[(me - hop) % size]), out=fold)
-    return finalize_attention(fold.state)
+    return finalize_attention(fold.state, out=fold)
 
 
 def _head_slices(total: int, parts: int):
@@ -225,12 +221,42 @@ def _head_slices(total: int, parts: int):
     return [slice(i * width, (i + 1) * width) for i in range(parts)]
 
 
+def _kv_shards(kv: np.ndarray, degree: int, effective_kv: int):
+    """One a2a group's KV head shards, with replicated heads never copied out.
+
+    Replication repeats each KV head up to ``effective_kv`` heads.  A shard
+    inside one KV head is a view of it: a slice for one replica, a read-only
+    broadcast for more (``np.broadcast_to`` costs several microseconds a
+    call, which a world-64 pass pays a thousand times).  A shard straddling
+    KV heads copies only its own heads.  ``nbytes`` counts a view's logical
+    bytes, so the logged traffic is that of the replicated heads.
+    """
+    cuts = _head_slices(effective_kv, degree)
+    repeats = effective_kv // kv.shape[0]
+    if repeats == 1:
+        return [kv[cut] for cut in cuts]
+    shards = []
+    for cut in cuts:
+        heads = [h // repeats for h in range(cut.start, cut.stop)]
+        if heads[0] != heads[-1]:
+            shards.append(kv[heads])
+        elif len(heads) == 1:
+            shards.append(kv[heads[0]:heads[0] + 1])
+        else:
+            shards.append(np.broadcast_to(kv[heads[0]], (len(heads),) + kv.shape[1:]))
+    return shards
+
+
 def attention_rank_body(handle, mesh, plan, spec, q, k, v, kv_replication):
     """One rank of every strategy: head-shard, ring the KV, un-shard.
 
     The a2a group trades sequence sharding for head sharding, the ring
     group rotates KV across groups.  At a2a degree 1 this is the plain KV
-    ring over the rank's own plan positions.
+    ring over the rank's own plan positions.  Each member's rows in the
+    group's sorted positions are found once: the received shards are
+    written there, one copy each, and the output is routed back from there.
+    Every rank of the group waits in each exchange with its arrays alive,
+    so the segments are dropped before the return exchange.
     """
     a2a_group = mesh.a2a_group_of(handle.rank)
     ring_group = mesh.p2p_group_of(handle.rank)
@@ -239,35 +265,29 @@ def attention_rank_body(handle, mesh, plan, spec, q, k, v, kv_replication):
         return _ring_pass(handle, ring_group, q, k, v, plan.rank_positions(handle.rank),
                           plan.rank_positions)
     effective_kv = effective_kv_heads(spec, degree, kv_replication)
-    if effective_kv != k.shape[0]:
-        k = _replicate_kv(k, spec)
-        v = _replicate_kv(v, spec)
-    q_cuts = _head_slices(spec.num_q_heads, degree)
-    kv_cuts = _head_slices(effective_kv, degree)
-    shards = [(q[q_cuts[j]], k[kv_cuts[j]], v[kv_cuts[j]]) for j in range(degree)]
-    received = handle.all_to_all(a2a_group, shards)
-    q_seg = np.concatenate([part[0] for part in received], axis=1)
-    k_seg = np.concatenate([part[1] for part in received], axis=1)
-    v_seg = np.concatenate([part[2] for part in received], axis=1)
-    raw_positions = np.concatenate(
-        [plan.rank_positions(member) for member in a2a_group]
-    )
-    order = np.argsort(raw_positions)
-    q_seg, k_seg, v_seg = q_seg[:, order], k_seg[:, order], v_seg[:, order]
-    positions = raw_positions[order]
+    received = handle.all_to_all(a2a_group, list(zip(
+        [q[cut] for cut in _head_slices(spec.num_q_heads, degree)],
+        _kv_shards(k, degree, effective_kv), _kv_shards(v, degree, effective_kv))))
+    positions = plan.group_positions(a2a_group)
+    rows = [np.searchsorted(positions, plan.rank_positions(member)) for member in a2a_group]
+    segments = []
+    for index in range(3):  # q, k, v
+        first = received[0][index]
+        segment = np.empty((first.shape[0], positions.size, first.shape[2]), first.dtype)
+        for part, member_rows in zip(received, rows):
+            segment[:, member_rows] = part[index]
+        segments.append(segment)
+    del received
 
     def segment_positions(ring_member):
         return plan.group_positions(mesh.a2a_group_of(ring_member))
 
-    out_seg = _ring_pass(handle, ring_group, q_seg, k_seg, v_seg, positions, segment_positions)
-
+    out_seg = _ring_pass(handle, ring_group, *segments, positions, segment_positions)
+    del segments
     # Route each member's rows back (in its own plan-local order) and restack heads.
-    out_shards = []
-    for member in a2a_group:
-        rows = np.searchsorted(positions, plan.rank_positions(member))
-        out_shards.append(out_seg[:, rows])
-    returned = handle.all_to_all(a2a_group, out_shards)
-    return np.concatenate(returned, axis=0)
+    out_shards = [out_seg.take(member_rows, axis=1) for member_rows in rows]
+    del out_seg
+    return np.concatenate(handle.all_to_all(a2a_group, out_shards), axis=0)
 
 
 def _check_shards(plan: ShardPlan, shards, name: str, heads: int, head_dim: int) -> None:

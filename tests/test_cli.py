@@ -2,13 +2,18 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import spsim
 from spsim import perf
 from spsim.cli import (SCENARIO_KEYS, ConfigError, _verify_length, comm_model_ok,
                        load_scenario, main)
@@ -197,6 +202,35 @@ class TestVerify:
         assert "tampered message from rank" in text
         assert "at step" in text
 
+    @pytest.mark.parametrize("topology,index", [
+        pytest.param(SMALL_SCENARIO["topology"], 1_000_000, id="large-index"),
+        pytest.param({"nodes": 1, "gpus_per_node": 1}, 0, id="world-1"),
+    ])
+    def test_fault_index_beyond_the_run_is_refused(self, tmp_path, capsys, topology,
+                                                   index):
+        scenario = {**SMALL_SCENARIO, "topology": topology, "inject_fault_message": index}
+        out = tmp_path / "verify.csv"
+        assert run_cli("verify", "--config", write_config(tmp_path, scenario),
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"inject_fault_message: index {index} is out of range" in err
+        assert "strategy two_d" in err and "messages per run" in err
+        assert not out.exists()
+
+    def test_fault_index_range_ends_at_the_message_count(self, tmp_path, capsys):
+        scenario = load_scenario(write_config(tmp_path, SMALL_SCENARIO),
+                                 argparse.Namespace())
+        spec = perf.model_profile(scenario.model).spec
+        mesh = build_mesh(scenario.topology, scenario.strategy.a2a_degree,
+                          scenario.strategy.p2p_degree)
+        count = len(list(perf.strategy_messages(scenario.strategy, spec,
+                                                _verify_length(scenario), mesh)))
+        last = write_config(tmp_path, {**SMALL_SCENARIO, "inject_fault_message": count - 1})
+        assert run_cli("verify", "--config", last, "--out", str(tmp_path / "v.csv")) == 1
+        beyond = write_config(tmp_path, {**SMALL_SCENARIO, "inject_fault_message": count})
+        assert run_cli("verify", "--config", beyond) == 2
+        assert f"sends {count} messages per run" in capsys.readouterr().err
+
     def test_comm_model_row_checks_every_message_not_only_byte_totals(self):
         spec = AttentionSpec(num_q_heads=4, num_kv_heads=2, head_dim=4)
         cfg = StrategyConfig("zigzag_ring", p2p_degree=4)
@@ -328,6 +362,17 @@ class TestProfileAndPlan:
         log_lines = (tmp_path / "sim.csv.commlog.csv").read_text().splitlines()
         kinds = {l.split(",")[1] for l in log_lines[1:-1]}
         assert kinds == {"p2p"}
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_spsim_runs_the_cli(self):
+        src = str(Path(spsim.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "spsim", "--version"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == f"spsim {spsim.__version__}"
 
 
 class TestInfer:

@@ -365,6 +365,14 @@ class TestMergePartials:
         with pytest.raises(ValueError, match="never saw a key"):
             finalize_attention(init_attention_state(1, 3, 2))
 
+    def test_in_place_finalize_needs_the_fold_that_owns_the_state(self):
+        q, q_pos = np.ones((1, 2, 2)), np.arange(2)
+        caller = init_attention_state(1, 2, 2)
+        with pytest.raises(ValueError, match="fold that owns this state"):
+            finalize_attention(caller, out=start_fold(q, q_pos, caller))  # not yet copied
+        with pytest.raises(ValueError, match="fold that owns this state"):
+            finalize_attention(caller, out=start_fold(q, q_pos))  # another state
+
 
 # ---------------------------------------------------------------------------
 # Property tests of the fold and the merge
@@ -453,6 +461,11 @@ class TestFoldProperty:
                                      fold.q_positions, block, out=fold)
         for functional, in_place in zip(state.as_arrays(), fold.state.as_arrays()):
             assert functional.tobytes() == in_place.tobytes()
+        before = [a.tobytes() for a in state.as_arrays()]
+        want = finalize_attention(state)
+        assert [a.tobytes() for a in state.as_arrays()] == before  # never mutated
+        got = finalize_attention(fold.state, out=fold)
+        assert got is fold.state.partial_output and got.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(chain=fold_chains())

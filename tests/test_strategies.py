@@ -1,10 +1,13 @@
 """Sequence-parallel attention strategies, each checked against the oracle."""
 
 import threading
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from spsim import perf
 from spsim.fabric import Topology, build_mesh, run_program
 from spsim.numeric import (
     AttentionSpec,
@@ -17,7 +20,9 @@ from spsim.sharding import contiguous_shard, zigzag_shard
 from spsim.strategies import (
     StrategyConfig,
     StrategyConfigError,
+    _kv_shards,
     attention_2d,
+    effective_kv_heads,
     execute_strategy,
     plan_for_strategy,
     ring_attention,
@@ -385,3 +390,82 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match=message):
             execute_strategy(sp_mesh(8, a2a), config, SPEC, q, k, v)
         assert threading.active_count() == threads_before
+
+
+# How an a2a group's KV head shards lie over the KV heads.
+KV_LAYOUTS = [
+    # 8 q / 2 kv at degree 4: each shard is 2 replicas of one KV head.
+    pytest.param(AttentionSpec(num_q_heads=8, num_kv_heads=2, head_dim=8), 4,
+                 id="inside-one-head"),
+    # 8 q / 4 kv at degree 2: each shard is 2 whole KV heads, nothing replicated.
+    pytest.param(AttentionSpec(num_q_heads=8, num_kv_heads=4, head_dim=8), 2,
+                 id="whole-heads"),
+    # 12 q / 4 kv at degree 6: shards of 2 replicas, every second one spans 2 KV heads.
+    pytest.param(AttentionSpec(num_q_heads=12, num_kv_heads=4, head_dim=8), 6,
+                 id="straddling"),
+]
+
+
+class TestKVReplicationLayouts:
+    @pytest.mark.parametrize("spec,degree", KV_LAYOUTS)
+    def test_shards_are_the_repeated_heads_shared_where_they_can_be(self, spec, degree):
+        kv = np.random.default_rng(23).standard_normal((spec.num_kv_heads, 6, spec.head_dim))
+        effective = effective_kv_heads(spec, degree, kv_replication=True)
+        repeats = effective // spec.num_kv_heads
+        width = effective // degree
+        for j, shard in enumerate(_kv_shards(kv, degree, effective)):
+            heads = range(j * width, (j + 1) * width)
+            want = np.repeat(kv, repeats, axis=0)[j * width:(j + 1) * width]
+            np.testing.assert_array_equal(shard, want)
+            assert shard.nbytes == width * kv[0].nbytes  # logged at full size
+            one_head = len({h // repeats for h in heads}) == 1
+            assert np.shares_memory(shard, kv) == (repeats == 1 or one_head)
+
+    @pytest.mark.parametrize("kind", ["ulysses", "two_d"])
+    @pytest.mark.parametrize("spec,degree", KV_LAYOUTS)
+    def test_matches_oracle_and_analytic_messages(self, spec, degree, kind):
+        p2p = 1 if kind == "ulysses" else 2
+        mesh = sp_mesh(degree * p2p, a2a=degree, nodes=p2p)
+        config = StrategyConfig(kind, a2a_degree=degree, p2p_degree=p2p, kv_replication=True)
+        q, k, v = random_qkv(np.random.default_rng(29), spec, 48)
+        run = execute_strategy(mesh, config, spec, q, k, v)
+        want = reference_attention(q, k, v, spec)
+        assert np.max(np.abs(run.gathered() - want)) < 1e-10
+        executed = Counter((r.src, r.dst, r.nbytes, r.kind) for r in run.log.records)
+        assert executed == Counter(perf.strategy_messages(config, spec, 48, mesh))
+
+
+class TestMemoryBudget:
+    """An executed a2a run with replicated KV holds, per rank, no more than
+    its input shards, one q/k/v segment, one accumulator and its outbound
+    shards.  Ranks run one at a time, so one fold step's score block comes
+    on top once."""
+
+    @pytest.mark.parametrize("kind,a2a,p2p", [("ulysses", 8, 1), ("two_d", 4, 2)])
+    def test_traced_peak_within_the_per_rank_budget(self, kind, a2a, p2p):
+        spec = AttentionSpec(num_q_heads=8, num_kv_heads=2, head_dim=128)
+        length, world, item = 128, a2a * p2p, 8  # float64 bytes
+        config = StrategyConfig(kind, a2a_degree=a2a, p2p_degree=p2p, kv_replication=True)
+        mesh = sp_mesh(world, a2a=a2a, nodes=p2p)
+        q, k, v = random_qkv(np.random.default_rng(31), spec, length)
+
+        rows = length // world  # a rank's sequence rows
+        group_rows = rows * a2a  # rows of one a2a segment
+        q_heads = spec.num_q_heads // a2a
+        kv_heads = effective_kv_heads(spec, a2a, kv_replication=True) // a2a
+        d = spec.head_dim
+        inputs = (spec.num_q_heads + 2 * spec.num_kv_heads) * rows * d * item
+        segment = (q_heads + 2 * kv_heads) * group_rows * d * item
+        accumulator = q_heads * group_rows * (d + 2) * item  # output, max, denominator
+        outbound = q_heads * group_rows * d * item
+        scores = q_heads * group_rows * group_rows * item
+        budget = world * (inputs + segment + accumulator + outbound) + scores
+
+        execute_strategy(mesh, config, spec, q, k, v)  # first-call allocations
+        tracemalloc.start()
+        try:
+            execute_strategy(mesh, config, spec, q, k, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, f"peak {peak} B over the {budget} B budget"
