@@ -32,13 +32,13 @@ from .fabric import (
 )
 from .inference import pipeline_baseline, sp_inference_report
 from .numeric import reference_attention
-from .sharding import load_samples
+from .sharding import load_samples, plan_granule
 from .strategies import (
     STRATEGY_KINDS,
     StrategyConfig,
     StrategyConfigError,
     execute_strategy,
-    plan_granule,
+    packed_a2a_degree,
     resolve_strategy,
 )
 
@@ -137,19 +137,6 @@ def _check(path: str, value):
     return value
 
 
-def _auto_a2a(topology: Topology, model: str) -> int:
-    spec = perf.model_profile(model).spec
-    best = 1
-    for degree in range(1, min(topology.gpus_per_node, topology.world_size,
-                               spec.num_kv_heads) + 1):
-        if topology.world_size % degree != 0:
-            continue
-        if spec.num_kv_heads % degree != 0:
-            continue
-        best = degree
-    return best
-
-
 def load_scenario(path: str | None, overrides: argparse.Namespace) -> Scenario:
     raw: dict = {}
     if path is not None:
@@ -191,12 +178,13 @@ def load_scenario(path: str | None, overrides: argparse.Namespace) -> Scenario:
         inter_node_latency=float(cfg["topology.latency_us_inter"]) * 1e-6,
     )
     model = cfg["model"]
+    spec = perf.model_profile(model).spec
     kind, a2a, p2p = cfg["strategy.kind"], cfg["strategy.a2a"], cfg["strategy.p2p"]
     if kind == "two_d" and not a2a and not p2p:
-        a2a = _auto_a2a(topology, model)
+        a2a = packed_a2a_degree(spec, topology)
     try:
-        strategy = resolve_strategy(perf.model_profile(model).spec, topology.world_size,
-                                    kind, a2a, p2p, cfg["strategy.kv_replication"])
+        strategy = resolve_strategy(spec, topology.world_size, kind, a2a, p2p,
+                                    cfg["strategy.kv_replication"])
     except StrategyConfigError as exc:
         raise ConfigError(f"strategy: {exc}") from exc
 
@@ -227,16 +215,8 @@ def _fmt(value) -> str:
 
 
 def emit_csv(out_path: str | None, header, rows, seed: int) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    lines.append(f"# spsim {__version__} seed={seed}")
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return text
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return emit_text(out_path, lines, seed)
 
 
 def emit_text(out_path: str | None, lines, seed: int) -> str:
@@ -267,7 +247,7 @@ def verification_strategies(scenario: Scenario) -> list[StrategyConfig]:
     world = scenario.topology.world_size
     configs = [scenario.strategy]
     for kind, a2a in (("naive_ring", 1), ("zigzag_ring", 1), ("ulysses", world),
-                      ("two_d", _auto_a2a(scenario.topology, scenario.model))):
+                      ("two_d", packed_a2a_degree(spec, scenario.topology))):
         try:
             cfg = resolve_strategy(spec, world, kind, a2a)
         except StrategyConfigError:
@@ -380,6 +360,12 @@ def cmd_simulate(scenario: Scenario) -> int:
     profile = perf.model_profile(scenario.model)
     topology = scenario.topology
     length = _verify_length(scenario)
+    samples = None
+    if scenario.samples_file:  # read before any output, so a bad file writes nothing
+        try:
+            samples = load_samples(scenario.samples_file)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"workload.samples_file: {exc}") from exc
     world = topology.world_size
     sweep = [per_device * world for per_device in
              (1024, 2048, 3072, 4096, 5120, 6144, 7168, 8192, 9216, 10240)]
@@ -418,11 +404,7 @@ def cmd_simulate(scenario: Scenario) -> int:
     emit_csv(_sidecar(scenario.out, "commlog.csv"),
              ("step", "kind", "src", "dst", "bytes", "link"), log_rows, scenario.seed)
 
-    if scenario.samples_file:
-        try:
-            samples = load_samples(scenario.samples_file)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"workload.samples_file: {exc}") from exc
+    if samples is not None:
         gain_rows = []
         sp = 2
         while sp <= world:
@@ -504,6 +486,16 @@ def cmd_infer(scenario: Scenario) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# Sub-command -> (handler, help text).
+COMMANDS = {
+    "verify": (cmd_verify, "run oracle-equivalence and invariant suites"),
+    "simulate": (cmd_simulate, "emit iteration-time/communication sweep and a CommLog dump"),
+    "profile": (cmd_profile, "reproduce the measured complexity table"),
+    "plan": (cmd_plan, "pick the fastest strategy for the topology"),
+    "infer": (cmd_infer, "emit pipeline vs sequence-parallel inference schedules"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spsim",
@@ -511,13 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"spsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("verify", "run oracle-equivalence and invariant suites"),
-        ("simulate", "emit iteration-time/communication sweep and a CommLog dump"),
-        ("profile", "reproduce the measured complexity table"),
-        ("plan", "pick the fastest strategy for the topology"),
-        ("infer", "emit pipeline vs sequence-parallel inference schedules"),
-    ):
+    for name, (_handler, helptext) in COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", metavar="PATH", default=None)
         cmd.add_argument("--seed", type=int, default=None, metavar="N")
@@ -537,22 +523,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        scenario = load_scenario(args.config, args)
-        if args.command == "verify":
-            return cmd_verify(scenario)
-        if args.command == "simulate":
-            return cmd_simulate(scenario)
-        if args.command == "profile":
-            return cmd_profile(scenario)
-        if args.command == "plan":
-            return cmd_plan(scenario)
-        if args.command == "infer":
-            return cmd_infer(scenario)
-        raise AssertionError("unreachable")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except StrategyConfigError as exc:
+        return COMMANDS[args.command][0](load_scenario(args.config, args))
+    except (ConfigError, StrategyConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -147,16 +147,6 @@ class CommLog:
             if (kind is None or r.kind == kind) and (link is None or r.link == link)
         )
 
-    def count(self, kind: str | None = None, link: str | None = None) -> int:
-        return sum(
-            1
-            for r in self.records
-            if (kind is None or r.kind == kind) and (link is None or r.link == link)
-        )
-
-    def kinds(self) -> set[str]:
-        return {r.kind for r in self.records}
-
     def to_rows(self) -> list[tuple]:
         return [(r.step, r.kind, r.src, r.dst, r.nbytes, r.link) for r in self.records]
 

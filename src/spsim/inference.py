@@ -173,15 +173,6 @@ class DecodeState:
     finished: bool = False
     comm_log: CommLog = field(default_factory=CommLog)
 
-    def cache_positions(self, rank: int) -> np.ndarray:
-        per_layer = self.caches[rank][0]
-        return per_layer.positions
-
-    def kv_extent_union(self) -> np.ndarray:
-        return np.sort(np.concatenate([
-            self.cache_positions(r) for r in range(len(self.caches))
-        ]))
-
 
 def sp_prefill(mesh: DeviceMesh, encoded: EncodedSequence, plan: ShardPlan,
                model: StubModel, kv_replication: bool = False) -> DecodeState:

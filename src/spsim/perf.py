@@ -15,13 +15,12 @@ from dataclasses import dataclass, replace
 
 from .fabric import DeviceMesh, Topology, build_mesh, comm_time
 from .numeric import AttentionSpec
+from .sharding import padded_length, plan_granule
 from .strategies import (
     RING_KINDS,
     StrategyConfig,
     StrategyConfigError,
     effective_kv_heads,
-    padded_length,
-    plan_granule,
     plan_kind,
     resolve_strategy,
 )

@@ -25,9 +25,11 @@ __all__ = [
     "EncodedSequence",
     "ShardPlan",
     "SampleSpec",
+    "plan_granule",
+    "padded_length",
+    "shard_plan",
     "contiguous_shard",
     "zigzag_shard",
-    "padded_length_for",
     "distribute_images",
     "encode_images_stub",
     "text_embedding_stub",
@@ -194,47 +196,47 @@ class ShardPlan:
         return out
 
 
-def contiguous_shard(padded_length: int, sp_degree: int,
-                     original_length: int | None = None) -> ShardPlan:
+def plan_granule(shard_kind: str, sp: int) -> int:
+    """Token multiple a plan's length needs: one chunk per rank, or two for zigzag."""
+    return sp if shard_kind == "contiguous" else 2 * sp
+
+
+def padded_length(shard_kind: str, sp: int, length: int) -> int:
+    """Least multiple of the plan granule that is >= length, and at least one granule."""
+    granule = plan_granule(shard_kind, sp)
+    return max(granule, -(-length // granule) * granule)
+
+
+def shard_plan(kind: str, padded_length: int, sp_degree: int,
+               original_length: int | None = None) -> ShardPlan:
+    """The ``kind`` plan (see ShardPlan) of a positive multiple of its granule."""
     if sp_degree < 1:
         raise ValueError("sp_degree must be >= 1")
-    if padded_length % sp_degree != 0:
-        raise ValueError(f"length {padded_length} not divisible by sp_degree {sp_degree}")
+    granule = plan_granule(kind, sp_degree)
+    if padded_length < 1 or padded_length % granule != 0:
+        need = (f"sp_degree {sp_degree}" if kind == "contiguous"
+                else f"2 * sp_degree = {granule}")
+        raise ValueError(f"length {padded_length} not divisible by {need}")
     return ShardPlan(
-        kind="contiguous",
+        kind=kind,
         sp_degree=sp_degree,
-        chunk_size=padded_length // sp_degree,
+        chunk_size=padded_length // granule,
         padded_length=padded_length,
         original_length=padded_length if original_length is None else original_length,
-        assignments=tuple((r,) for r in range(sp_degree)),
+        assignments=tuple((r,) if kind == "contiguous" else (r, granule - 1 - r)
+                          for r in range(sp_degree)),
     )
+
+
+def contiguous_shard(padded_length: int, sp_degree: int,
+                     original_length: int | None = None) -> ShardPlan:
+    return shard_plan("contiguous", padded_length, sp_degree, original_length)
 
 
 def zigzag_shard(padded_length: int, sp_degree: int,
                  original_length: int | None = None) -> ShardPlan:
     """Two-end balanced sharding: 2P chunks, rank i owns {i, 2P-1-i}."""
-    if sp_degree < 1:
-        raise ValueError("sp_degree must be >= 1")
-    if padded_length % (2 * sp_degree) != 0:
-        raise ValueError(
-            f"length {padded_length} not divisible by 2 * sp_degree = {2 * sp_degree}"
-        )
-    two_p = 2 * sp_degree
-    return ShardPlan(
-        kind="zigzag",
-        sp_degree=sp_degree,
-        chunk_size=padded_length // two_p,
-        padded_length=padded_length,
-        original_length=padded_length if original_length is None else original_length,
-        assignments=tuple((r, two_p - 1 - r) for r in range(sp_degree)),
-    )
-
-
-def padded_length_for(length: int, mesh: DeviceMesh) -> int:
-    """Least multiple of (2 x ring_degree x a2a_degree) that is >= length."""
-    from .strategies import padded_length  # strategies imports this module
-
-    return padded_length("zigzag", mesh.sp_degree, length)
+    return shard_plan("zigzag", padded_length, sp_degree, original_length)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +337,7 @@ def globalize_and_pad(pieces, mesh: DeviceMesh) -> tuple[EncodedSequence, ShardP
         [np.full(p.embeddings.shape[0], p.kind, dtype=np.uint8) for p in ordered]
     )
     original = rows.shape[0]
-    padded = padded_length_for(original, mesh)
+    padded = padded_length("zigzag", mesh.sp_degree, original)
     if padded > original:
         rows = np.concatenate([rows, np.zeros((padded - original, hidden))], axis=0)
         kinds = np.concatenate(
@@ -404,7 +406,9 @@ class SampleSpec:
 def load_samples(path) -> list[SampleSpec]:
     """Parse a sample file: one `sample_id num_frames num_text_tokens` per line.
 
-    Blank lines and `#` comments are ignored.
+    Blank lines and `#` comments are ignored.  The file must hold at least
+    one frame or text token: a workload with no token has no compute to
+    balance.
     """
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -424,6 +428,8 @@ def load_samples(path) -> list[SampleSpec]:
             if frames < 0 or text < 0:
                 raise ValueError(f"{path}:{lineno}: counts must be >= 0")
             samples.append(SampleSpec(sid, frames, text))
+    if not any(s.num_frames or s.num_text_tokens for s in samples):
+        raise ValueError(f"{path}: holds no frame and no text token")
     return samples
 
 

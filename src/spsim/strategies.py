@@ -16,18 +16,19 @@ the analytic cost model must match exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fabric import DeviceMesh, run_program
+from .fabric import DeviceMesh, Topology, run_program
 from .numeric import (
     AttentionSpec,
     blockwise_attention_step,
     finalize_attention,
     start_fold,
 )
-from .sharding import ShardPlan, contiguous_shard, zigzag_shard
+from .sharding import ShardPlan, contiguous_shard, shard_plan
 
 __all__ = [
     "STRATEGY_KINDS",
@@ -42,9 +43,8 @@ __all__ = [
     "execute_strategy",
     "plan_for_strategy",
     "plan_kind",
-    "plan_granule",
-    "padded_length",
     "resolve_strategy",
+    "packed_a2a_degree",
     "effective_kv_heads",
 ]
 
@@ -123,17 +123,6 @@ def plan_kind(kind: str) -> str:
     return "contiguous" if kind in ("naive_ring", "ulysses") else "zigzag"
 
 
-def plan_granule(shard_kind: str, sp: int) -> int:
-    """Token multiple a plan's length needs: one chunk per rank, or two for zigzag."""
-    return sp if shard_kind == "contiguous" else 2 * sp
-
-
-def padded_length(shard_kind: str, sp: int, length: int) -> int:
-    """Least multiple of the plan granule that is >= length, and at least one granule."""
-    granule = plan_granule(shard_kind, sp)
-    return max(granule, -(-length // granule) * granule)
-
-
 def resolve_strategy(spec: AttentionSpec, world: int, kind: str | None = None,
                      a2a: int = 0, p2p: int = 0,
                      kv_replication: bool | None = None) -> StrategyConfig:
@@ -168,6 +157,14 @@ def resolve_strategy(spec: AttentionSpec, world: int, kind: str | None = None,
         except StrategyConfigError as exc:
             error = exc
     raise error
+
+
+def packed_a2a_degree(spec: AttentionSpec, topology: Topology) -> int:
+    """The a2a packing rule: the largest degree at most ``gpus_per_node`` that
+    divides both the world and the KV heads (so no KV head is replicated)."""
+    shared = math.gcd(topology.world_size, spec.num_kv_heads)
+    return max(d for d in range(1, min(shared, topology.gpus_per_node) + 1)
+               if shared % d == 0)
 
 
 @dataclass
@@ -386,9 +383,7 @@ def attention_2d(mesh, plan, q_shards, k_shards, v_shards, spec,
 
 def plan_for_strategy(config: StrategyConfig, length: int) -> ShardPlan:
     """The shard plan a strategy runs on, for an already-divisible length."""
-    if plan_kind(config.kind) == "contiguous":
-        return contiguous_shard(length, config.sp_degree)
-    return zigzag_shard(length, config.sp_degree)
+    return shard_plan(plan_kind(config.kind), length, config.sp_degree)
 
 
 def execute_strategy(mesh: DeviceMesh, config: StrategyConfig, spec: AttentionSpec,

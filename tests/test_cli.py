@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 import spsim
 from spsim import perf
 from spsim.cli import (SCENARIO_KEYS, ConfigError, _verify_length, comm_model_ok,
-                       load_scenario, main)
+                       load_scenario, main, verification_strategies)
 from spsim.fabric import CommLog, Topology, build_mesh
 from spsim.numeric import AttentionSpec
-from spsim.strategies import StrategyConfig, execute_strategy
+from spsim.strategies import StrategyConfig, execute_strategy, packed_a2a_degree
 
 SMALL_SCENARIO = {
     "topology": {"nodes": 2, "gpus_per_node": 2},
@@ -321,6 +321,41 @@ class TestSimulate:
             sp_degree, one, two, gain = line.split(",")
             assert float(two) <= float(one)
             assert float(gain) >= 0.0
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("# id frames text\n\n# nothing yet\n", id="comments-only"),
+        pytest.param("0 0 0\n1 0 0\n", id="all-zero"),
+    ])
+    def test_samples_file_without_tokens_is_refused(self, tmp_path, capsys, text):
+        samples = tmp_path / "samples.txt"
+        samples.write_text(text)
+        cfg = write_config(tmp_path, {
+            **SMALL_SCENARIO,
+            "workload": {"seq_len": 64, "samples_file": str(samples)},
+        })
+        out = tmp_path / "sim.csv"
+        assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"config error: workload.samples_file: {samples}: "
+            "holds no frame and no text token\n")
+        assert not out.exists()
+
+
+class TestA2APacking:
+    @pytest.mark.parametrize("topology", [
+        None, {"nodes": 1, "gpus_per_node": 8}, {"nodes": 3, "gpus_per_node": 4},
+        {"nodes": 2, "gpus_per_node": 6}, {"nodes": 4, "gpus_per_node": 1},
+    ])
+    def test_two_d_scenario_and_verify_row_use_the_packing_rule(self, tmp_path, topology):
+        payload = {} if topology is None else {"topology": topology}
+        scenario = load_scenario(write_config(tmp_path, payload), argparse.Namespace())
+        a2a = packed_a2a_degree(perf.model_profile(scenario.model).spec, scenario.topology)
+        assert scenario.strategy.kind == "two_d"
+        assert scenario.strategy.a2a_degree == a2a
+        ring = load_scenario(write_config(tmp_path, payload),
+                             argparse.Namespace(strategy="naive_ring"))
+        two_d = [cfg for cfg in verification_strategies(ring) if cfg.kind == "two_d"]
+        assert [cfg.a2a_degree for cfg in two_d] == [a2a]
 
 
 class TestProfileAndPlan:

@@ -81,7 +81,7 @@ class TestPrefill:
         mesh = make_mesh(4)
         encoded, plan = make_prompt(mesh, text_tokens=29)
         state = sp_prefill(mesh, encoded, plan, StubModel(SPEC))
-        union = state.kv_extent_union()
+        union = np.sort(np.concatenate([rank[0].positions for rank in state.caches]))
         np.testing.assert_array_equal(union, np.arange(plan.original_length))
 
     def test_dummy_rows_never_cached(self):
@@ -168,7 +168,7 @@ class TestDecode:
         assert plan.original_length == 3 and plan.padded_length == 8
         model = StubModel(SPEC, eos_token_id=-1)
         state = sp_prefill(mesh, encoded, plan, model)
-        assert any(state.cache_positions(r).size == 0 for r in range(4))
+        assert any(state.caches[r][0].positions.size == 0 for r in range(4))
         got = decode_greedy(mesh, state, 6)
         want = local_decode(model, encoded.embeddings[:3], 6)
         assert got == want
@@ -179,10 +179,10 @@ class TestDecode:
         model = StubModel(SPEC, eos_token_id=-1)
         state = sp_prefill(mesh, encoded, plan, model)
         assert state.owner == plan.rank_of_chunk(plan.num_chunks - 1)
-        before = state.cache_positions(state.owner).size
+        before = state.caches[state.owner][0].positions.size
         _, state = sp_decode_step(mesh, state)
-        assert state.cache_positions(state.owner).size == before + 1
-        union = state.kv_extent_union()
+        assert state.caches[state.owner][0].positions.size == before + 1
+        union = np.sort(np.concatenate([rank[0].positions for rank in state.caches]))
         np.testing.assert_array_equal(
             union, np.arange(plan.original_length + 1))
 

@@ -1,10 +1,15 @@
 """Two-stage sharding workflow: distribution, padding, zigzag plans, balance."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spsim.fabric import Topology, build_mesh
 from spsim.sharding import (
+    EncodedPiece,
     ImagePlaceholder,
     MultimodalSequence,
     SampleSpec,
@@ -18,7 +23,8 @@ from spsim.sharding import (
     encode_images_stub,
     globalize_and_pad,
     load_samples,
-    padded_length_for,
+    padded_length,
+    plan_granule,
     text_embedding_stub,
     zigzag_shard,
 )
@@ -104,7 +110,7 @@ class TestGlobalizeAndPad:
     def test_pads_to_next_multiple(self):
         # length 100, ring degree 4, a2a 1 -> padded to 104 (next multiple of 8)
         mesh = mesh_of(4)
-        assert padded_length_for(100, mesh) == 104
+        assert padded_length("zigzag", mesh.sp_degree, 100) == 104
         batch = make_batch([0], [100])
         pieces = encode_batch(batch, tokens_per_frame=1, hidden=4)
         encoded, plan = globalize_and_pad(pieces, mesh)
@@ -225,6 +231,51 @@ class TestShardGather:
         plan = contiguous_shard(8, 2)
         with pytest.raises(ValueError, match="shards"):
             plan.gather([np.zeros((4, 1))])
+
+
+PLAN_KINDS = st.sampled_from(("contiguous", "zigzag"))
+SP_DEGREES = st.integers(1, 64)
+
+
+class TestGranuleRule:
+    """One rule for every plan: its length is a positive multiple of the granule."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(kind=PLAN_KINDS, sp=SP_DEGREES, length=st.integers(0, 10**6))
+    def test_padded_length_is_the_least_granule_multiple(self, kind, sp, length):
+        granule = plan_granule(kind, sp)
+        assert granule == (sp if kind == "contiguous" else 2 * sp)
+        padded = padded_length(kind, sp, length)
+        assert padded % granule == 0
+        assert padded >= length and padded >= granule
+        assert padded - granule < max(length, granule)  # no smaller multiple fits
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(kind=PLAN_KINDS, sp=SP_DEGREES, length=st.integers(-2, 10**6),
+           snap=st.booleans())
+    def test_plans_accept_exactly_the_positive_multiples(self, kind, sp, length, snap):
+        granule = plan_granule(kind, sp)
+        if snap:  # also draw multiples: zero, negative and positive ones
+            length -= length % granule
+        make = contiguous_shard if kind == "contiguous" else zigzag_shard
+        if length >= 1 and length % granule == 0:
+            plan = make(length, sp)
+            assert (plan.kind, plan.padded_length) == (kind, length)
+            assert plan.num_chunks == granule
+            return
+        text = (f"length {length} not divisible by sp_degree {sp}" if kind == "contiguous"
+                else f"length {length} not divisible by 2 * sp_degree = {2 * sp}")
+        with pytest.raises(ValueError, match=re.escape(text)):
+            make(length, sp)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sp=SP_DEGREES, length=st.integers(1, 10**6))
+    def test_globalize_pads_to_the_zigzag_padded_length(self, sp, length):
+        piece = EncodedPiece(0, 0, KIND_TEXT, np.zeros((length, 1)))
+        encoded, plan = globalize_and_pad([piece], mesh_of(sp))
+        assert plan.kind == "zigzag" and plan.original_length == length
+        assert plan.padded_length == padded_length("zigzag", sp, length)
+        assert encoded.embeddings.shape[0] == plan.padded_length
 
 
 class TestWorkloadFiles:

@@ -24,6 +24,7 @@ from spsim.strategies import (
     attention_2d,
     effective_kv_heads,
     execute_strategy,
+    packed_a2a_degree,
     plan_for_strategy,
     ring_attention,
     ulysses_attention,
@@ -75,8 +76,8 @@ class TestRingAttention:
         q, k, v = random_qkv(rng, SPEC, 64)
         run = execute_strategy(sp_mesh(4), StrategyConfig("naive_ring", p2p_degree=4),
                                SPEC, q, k, v)
-        assert run.log.kinds() == {"p2p"}
-        assert run.log.count() == 4 * 3
+        assert {r.kind for r in run.log.records} == {"p2p"}
+        assert len(run.log.records) == 4 * 3
         sizes = {r.nbytes for r in run.log.records}
         assert sizes == {2 * SPEC.num_kv_heads * 16 * SPEC.head_dim * 8}
 
@@ -106,7 +107,7 @@ class TestZigzagRingAttention:
         nr = execute_strategy(sp_mesh(4), StrategyConfig("naive_ring", p2p_degree=4),
                               SPEC, q, k, v)
         assert np.max(np.abs(zz.gathered() - nr.gathered())) < 2e-10
-        assert zz.log.count() == nr.log.count()
+        assert len(zz.log.records) == len(nr.log.records)
 
     def test_p1_degenerate(self):
         rng = np.random.default_rng(6)
@@ -150,7 +151,7 @@ class TestUlyssesAttention:
                                spec, q, k, v)
         want = reference_attention(q, k, v, spec)
         assert np.max(np.abs(run.gathered() - want)) < 1e-10
-        assert run.log.kinds() == {"a2a"}
+        assert {r.kind for r in run.log.records} == {"a2a"}
 
     def test_kv_replication_matches_oracle_and_costs_more(self):
         rng = np.random.default_rng(9)
@@ -166,8 +167,8 @@ class TestUlyssesAttention:
         smaller = execute_strategy(
             sp_mesh(2, a2a=2), StrategyConfig("ulysses", a2a_degree=2), spec, q, k, v)
         # replicated KV heads genuinely travel: more bytes per rank pair
-        per_pair_repl = run.log.total_bytes() / run.log.count()
-        per_pair_plain = smaller.log.total_bytes() / smaller.log.count()
+        per_pair_repl = run.log.total_bytes() / len(run.log.records)
+        per_pair_plain = smaller.log.total_bytes() / len(smaller.log.records)
         assert run.log.total_bytes() > 0 and per_pair_repl != per_pair_plain
 
     def test_degree_exceeding_kv_heads_without_replication_is_an_error(self):
@@ -206,7 +207,8 @@ class TestAttention2D:
         zz = execute_strategy(
             sp_mesh(4), StrategyConfig("zigzag_ring", p2p_degree=4), SPEC, q, k, v)
         np.testing.assert_array_equal(two_d.gathered(), zz.gathered())
-        assert two_d.log.count(kind="p2p") == zz.log.count(kind="p2p")
+        assert (sum(r.kind == "p2p" for r in two_d.log.records)
+                == sum(r.kind == "p2p" for r in zz.log.records))
 
     def test_p2p_1_reduces_to_ulysses(self):
         rng = np.random.default_rng(12)
@@ -264,7 +266,8 @@ class TestCrossStrategyEquivalence:
             StrategyConfig("two_d", a2a_degree=2, p2p_degree=2),
         ):
             mesh = sp_mesh(sp, a2a=cfg.a2a_degree)
-            kinds[cfg.kind] = execute_strategy(mesh, cfg, spec, q, k, v).log.kinds()
+            log = execute_strategy(mesh, cfg, spec, q, k, v).log
+            kinds[cfg.kind] = {r.kind for r in log.records}
         assert kinds["naive_ring"] == {"p2p"}
         assert kinds["zigzag_ring"] == {"p2p"}
         assert kinds["ulysses"] == {"a2a"}
@@ -282,6 +285,19 @@ class TestCrossStrategyEquivalence:
                 sp_mesh(8, a2a=4, nodes=2),
                 StrategyConfig("two_d", a2a_degree=4, p2p_degree=2), spec, q, k, v)
             assert hybrid.log.total_bytes(link="inter") < ring.log.total_bytes(link="inter")
+
+
+class TestA2APackingRule:
+    def test_largest_degree_within_a_node_dividing_world_and_kv_heads(self):
+        for name in perf.PROFILE_NAMES:
+            spec = perf.model_profile(name).spec
+            for nodes in range(1, 5):
+                for gpus in range(1, 17):
+                    topology = Topology(num_nodes=nodes, gpus_per_node=gpus)
+                    world = topology.world_size
+                    want = max(d for d in range(1, gpus + 1)
+                               if world % d == 0 and spec.num_kv_heads % d == 0)
+                    assert packed_a2a_degree(spec, topology) == want, (name, nodes, gpus)
 
 
 class TestPlanForStrategy:
