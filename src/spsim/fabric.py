@@ -123,7 +123,7 @@ class CommRecord(NamedTuple):
     """One off-rank message.  A named tuple: one is built per message."""
 
     step: int
-    kind: str  # p2p | a2a | all_gather | broadcast
+    kind: str  # p2p | a2a | all_gather | gather | broadcast
     src: int
     dst: int
     nbytes: int
@@ -269,13 +269,15 @@ class _Pending:
     """One rank's side of a collective: its outgoing (dst, payload) edges.
 
     ``source`` is the one rank a p2p or broadcast receives from; an op
-    without one receives a list with one value per group member.
+    without one receives a list of the values sent to it, in group order.
+    ``root`` is the rank a broadcast sends from or a gather collects at.
     """
 
     kind: str
     group: tuple[int, ...]
     edges: list[tuple[int, object]]
     source: int | None = None
+    root: int | None = None
     step: int = 0
 
 
@@ -308,11 +310,19 @@ class RankHandle:
             )
         return self._rt.block_on(self.rank, _Pending("a2a", group, list(zip(group, shards))))
 
-    def all_gather(self, group, value):
-        """Collect every member's value, returned in group order."""
+    def all_gather(self, group, value, root: int | None = None):
+        """Collect every member's value, returned in group order.
+
+        With ``root`` set only the root receives the values (messages of
+        kind ``gather``) and every other member gets ``[]``.
+        """
         group = tuple(group)
+        if root is None:
+            return self._rt.block_on(
+                self.rank, _Pending("all_gather", group, [(m, value) for m in group])
+            )
         return self._rt.block_on(
-            self.rank, _Pending("all_gather", group, [(m, value) for m in group])
+            self.rank, _Pending("gather", group, [(root, value)], root=root)
         )
 
     def broadcast(self, group, root: int, value=None):
@@ -320,7 +330,7 @@ class RankHandle:
         group = tuple(group)
         edges = [(m, value) for m in group] if self.rank == root else []
         return self._rt.block_on(
-            self.rank, _Pending("broadcast", group, edges, source=root)
+            self.rank, _Pending("broadcast", group, edges, source=root, root=root)
         )
 
 
@@ -510,13 +520,13 @@ class _Runtime:
                         f"rank {dst} expects to receive from {src_of[dst]} "
                         f"but rank {sender} is sending to it"
                     )
-        elif kind == "broadcast":
-            roots = {op.source for op in ops}
+        elif kind in ("broadcast", "gather"):
+            roots = {op.root for op in ops}
             if len(roots) != 1:
-                raise CollectiveMismatchError(f"broadcast roots disagree: {sorted(roots)}")
+                raise CollectiveMismatchError(f"{kind} roots disagree: {sorted(roots)}")
             root = roots.pop()
             if root not in group:
-                raise FabricError(f"broadcast root {root} not in group {group}")
+                raise FabricError(f"{kind} root {root} not in group {group}")
         received = {m: [] for m in group}
         for sender, op in zip(group, ops):  # deterministic log order: sender-major
             sizes: dict[int, int] = {}  # id(payload) -> bytes, once per distinct payload

@@ -220,9 +220,11 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
     """Sample one token and (unless it terminates) advance the caches.
 
     The owner rank samples from the newest position's logits and broadcasts
-    the token; end-of-sequence is the collective termination signal.  The
-    new token's query attends every cached key across ranks via a partial
-    state exchange and a log-sum-exp merge.
+    the token; end-of-sequence is the collective termination signal.  In
+    each layer every rank folds the new token's query over its own cache;
+    the owner gathers the partial states, merges them once in group order
+    (a log-sum-exp reduce), finalizes and projects, and broadcasts the
+    layer's new hidden row.
     """
     if state.finished:
         raise RuntimeError("decode after the stream finished")
@@ -256,10 +258,12 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
             if cache.positions.size:
                 blockwise_attention_step(fold.state, fold.q, cache.k, cache.v,
                                          fold.q_positions, cache.positions, out=fold)
-            gathered = handle.all_gather(group, fold.state.as_arrays())
-            merged = merge_attention_partials(*(AttentionState(*arrays) for arrays in gathered))
-            out = finalize_attention(merged)
-            x = model.project_out(layer, out) + x
+            gathered = handle.all_gather(group, fold.state.as_arrays(), root=owner)
+            if rank == owner:
+                merged = merge_attention_partials(
+                    *(AttentionState(*arrays) for arrays in gathered))
+                x = model.project_out(layer, finalize_attention(merged)) + x
+            x = handle.broadcast(group, owner, x)
         return token, x[0], new_caches
 
     outputs, log = run_program(mesh, program)

@@ -37,6 +37,8 @@ __all__ = [
     "flops_profile",
     "comm_volume",
     "strategy_messages",
+    "prefill_messages",
+    "decode_messages",
     "per_rank_comm_seconds",
     "iteration_time",
     "megatron_baseline_time",
@@ -49,6 +51,7 @@ __all__ = [
 COMPONENTS = ("encoder", "linears", "attention", "others")
 
 FLOAT_BYTES = 8  # simulator tensors are float64
+SCALAR_BYTES = 8  # wire size of a Python int, such as a decoded token id
 
 
 @dataclass(frozen=True)
@@ -340,6 +343,47 @@ def strategy_messages(config: StrategyConfig, spec: AttentionSpec, seq_len: int,
                     for dst in group:
                         if src != dst:
                             yield src, dst, q_part, "a2a"
+
+
+def prefill_messages(config: StrategyConfig, spec: AttentionSpec, seq_len: int,
+                     mesh: DeviceMesh):
+    """Yield every off-rank message (src, dst, nbytes, kind) of ``sp_prefill``.
+
+    Prefill runs the strategy's forward pass once per layer on the prompt's
+    padded length ``seq_len`` (the plan's ``padded_length``), so this is
+    ``spec.num_layers`` copies of
+    ``strategy_messages``; within a layer the executed log may interleave
+    the ring groups' hops in another order.
+    """
+    messages = list(strategy_messages(config, spec, seq_len, mesh))
+    for _layer in range(spec.num_layers):
+        yield from messages
+
+
+def decode_messages(spec: AttentionSpec, mesh: DeviceMesh, owner: int,
+                    final: bool = False):
+    """Yield every off-rank message (src, dst, nbytes, kind) of one
+    ``sp_decode_step``, in log order.
+
+    The owner broadcasts the sampled token.  Unless that token ends the
+    sequence (``final``), each layer then gathers every rank's partial
+    softmax state (heads x (head_dim + 2) floats) at the owner and
+    broadcasts the layer's new hidden row: (W-1)(1 + 2L) messages in all.
+    """
+    if not 0 <= owner < mesh.world_size:
+        raise ValueError(f"owner {owner} is not a rank of a world of {mesh.world_size}")
+    others = [rank for rank in range(mesh.world_size) if rank != owner]
+    for dst in others:
+        yield owner, dst, SCALAR_BYTES, "broadcast"
+    if final:
+        return
+    partial = spec.num_q_heads * (spec.head_dim + 2) * FLOAT_BYTES
+    row = spec.hidden_size * FLOAT_BYTES
+    for _layer in range(spec.num_layers):
+        for src in others:
+            yield src, owner, partial, "gather"
+        for dst in others:
+            yield owner, dst, row, "broadcast"
 
 
 def comm_volume(config: StrategyConfig, spec: AttentionSpec, seq_len: int,

@@ -164,6 +164,48 @@ class TestRunProgram:
         assert sum(r.kind == "all_gather" for r in log.records) == 6
         assert sum(r.kind == "broadcast" for r in log.records) == 2
 
+    def test_rooted_all_gather_reaches_only_the_root(self):
+        mesh = build_mesh(two_node_topology(2), 1, 4)
+        group = (3, 0, 2, 1)
+
+        def program(h):
+            return h.all_gather(group, np.full(h.rank + 1, float(h.rank)), root=2)
+
+        outputs, log = run_program(mesh, program)
+        assert [len(out) for out in outputs] == [0, 0, 4, 0]
+        for member, value in zip(group, outputs[2]):
+            np.testing.assert_array_equal(value, np.full(member + 1, float(member)))
+        assert [(r.kind, r.src, r.dst, r.nbytes, r.link) for r in log.records] == [
+            ("gather", 3, 2, 32, "intra"), ("gather", 0, 2, 8, "inter"),
+            ("gather", 1, 2, 16, "inter")]
+
+    @pytest.mark.parametrize("kind", ["broadcast", "gather"])
+    def test_rooted_collective_roots_must_agree(self, kind):
+        mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=3))
+        group = (0, 1, 2)
+
+        def program(h):
+            root = 0 if h.rank < 2 else 1
+            if kind == "broadcast":
+                return h.broadcast(group, root, h.rank)
+            return h.all_gather(group, h.rank, root=root)
+
+        with pytest.raises(CollectiveMismatchError, match=rf"{kind} roots disagree: \[0, 1\]"):
+            run_program(mesh, program)
+
+    @pytest.mark.parametrize("kind", ["broadcast", "gather"])
+    def test_rooted_collective_root_must_be_in_group(self, kind):
+        mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=3))
+
+        def program(h):
+            if kind == "broadcast":
+                return h.broadcast((0, 1), 2, h.rank)
+            return h.all_gather((0, 1), h.rank, root=2)
+
+        with pytest.raises(FabricError, match=rf"{kind} root 2 not in group \(0, 1\)") as err:
+            run_program(mesh, program)
+        assert not isinstance(err.value, CollectiveMismatchError)
+
     def test_collective_mismatch_names_rank_and_step(self):
         mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=4))
         group = (0, 1, 2, 3)
@@ -358,7 +400,7 @@ class TestRunProgram:
 
 # sha256 of the CommLog rows and tampered lists of _delivery_order_runs():
 # it moves with any change to the order in which the fabric delivers.
-DELIVERY_ORDER_SHA256 = "f3dcaaabe0b16cad9bf68f14c9e90fbd18d49e37eeda494cfd2d48a6453032ee"
+DELIVERY_ORDER_SHA256 = "3771300247d0f6f924ae6954a1a639268cd691d8bcbb5c97a4fa7dd1a9cae961"
 
 
 def _delivery_order_runs():
@@ -408,14 +450,14 @@ class TestDeliveryOrder:
         assert digest.hexdigest() == DELIVERY_ORDER_SHA256
 
 
-KINDS = ("p2p", "a2a", "all_gather", "broadcast")
+KINDS = ("p2p", "a2a", "all_gather", "gather", "broadcast")
 
 
 @st.composite
 def lock_step_programs(draw):
     """(world, steps): at each step the world is split into groups, and every
     member of a group issues that group's (kind, group, arg) collective.
-    ``arg`` is the p2p shift or the index of the broadcast root."""
+    ``arg`` is the p2p shift or the index of the gather or broadcast root."""
     world = draw(st.integers(1, 8))
     steps = []
     for _ in range(draw(st.integers(1, 5))):
@@ -442,6 +484,8 @@ def _issue(h, kind, group, arg, step, src=None):
     if kind == "all_gather":
         return h.all_gather(group, (h.rank, step))
     root = group[arg]
+    if kind == "gather":
+        return h.all_gather(group, (h.rank, step), root=root)
     return h.broadcast(group, root, (root, step) if h.rank == root else None)
 
 
@@ -452,6 +496,8 @@ def _expected(kind, group, arg, step, rank):
         return [(m, step, rank) for m in group]
     if kind == "all_gather":
         return [(m, step) for m in group]
+    if kind == "gather":
+        return [(m, step) for m in group] if rank == group[arg] else []
     return (group[arg], step)
 
 
@@ -459,7 +505,7 @@ def _message_count(kind, group, arg):
     size = len(group)
     if kind == "p2p":
         return size if arg else 0
-    return size - 1 if kind == "broadcast" else size * (size - 1)
+    return size - 1 if kind in ("gather", "broadcast") else size * (size - 1)
 
 
 def _run_bounded(mesh, program, timeout=10.0):

@@ -6,21 +6,36 @@ import numpy as np
 import pytest
 
 from spsim.fabric import Topology, build_mesh
+from spsim.inference import StubModel, greedy_sampler, sp_decode_step, sp_prefill
 from spsim.numeric import AttentionSpec
-from spsim.sharding import SampleSpec
-from spsim.strategies import StrategyConfig, execute_strategy
+from spsim.sharding import (
+    SampleSpec,
+    build_sequences,
+    encode_batch,
+    globalize_and_pad,
+    shard_plan,
+)
+from spsim.strategies import (
+    STRATEGY_KINDS,
+    StrategyConfig,
+    execute_strategy,
+    plan_kind,
+    resolve_strategy,
+)
 from spsim.perf import (
     DEFAULT_PENALTY,
     OverlapPenalty,
     PerfCost,
     calibrate,
     comm_volume,
+    decode_messages,
     flops_profile,
     iteration_time,
     max_context,
     megatron_baseline_time,
     model_profile,
     plan,
+    prefill_messages,
     reference_rows,
     strategy_messages,
     two_stage_gain,
@@ -174,6 +189,62 @@ class TestCommVolume:
                 StrategyConfig("zigzag_ring", p2p_degree=32), spec, seq, mesh_ring)
             assert volume_total(two_d, link="inter") < volume_total(ring, link="inter")
             assert volume_total(two_d, kind="a2a", link="inter") == 0
+
+
+def _prefill(config, spec, world):
+    """An SP prefill of a 29-token prompt on the config's mesh and plan kind."""
+    topology = Topology(num_nodes=2, gpus_per_node=world // 2) if world > 1 else Topology()
+    mesh = build_mesh(topology, config.a2a_degree, config.p2p_degree)
+    pieces = encode_batch(build_sequences([SampleSpec(0, 1, 21)]), tokens_per_frame=8,
+                          hidden=spec.hidden_size)
+    encoded, zigzag = globalize_and_pad(pieces, mesh)
+    plan = shard_plan(plan_kind(config.kind), zigzag.padded_length, world,
+                      original_length=zigzag.original_length)
+    model = StubModel(spec, eos_token_id=-1)
+    return mesh, plan, sp_prefill(mesh, encoded, plan, model, config.kv_replication)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+class TestInferenceMessages:
+    SPEC = AttentionSpec(num_q_heads=8, num_kv_heads=2, head_dim=4, num_layers=2)
+
+    @pytest.mark.parametrize("world, a2a", [(4, 1), (4, 2), (8, 2)])
+    @pytest.mark.parametrize("kv_replication", [False, True])
+    def test_prefill_log_equals_mirror(self, world, a2a, kv_replication):
+        # One KV head makes an a2a group of 2 replicate it.
+        spec = AttentionSpec(8, 1, 4, 2) if kv_replication else self.SPEC
+        config = resolve_strategy(spec, world, a2a=a2a, kv_replication=kv_replication)
+        mesh, plan, state = _prefill(config, spec, world)
+        executed = Counter((r.src, r.dst, r.nbytes, r.kind) for r in state.comm_log.records)
+        assert executed == Counter(prefill_messages(config, spec, plan.padded_length, mesh))
+
+    @pytest.mark.parametrize("world", [1, 2, 4, 8])
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_decode_log_equals_mirror_in_order(self, world, kind):
+        spec = self.SPEC
+        config = resolve_strategy(spec, world, kind=kind,
+                                  a2a=min(2, world) if kind == "two_d" else 0)
+        mesh, _plan, state = _prefill(config, spec, world)
+        for sampler in (greedy_sampler, greedy_sampler, lambda logits: -1):  # -1 ends it
+            before = len(state.comm_log)
+            _, state = sp_decode_step(mesh, state, sampler=sampler)
+            executed = [(r.src, r.dst, r.nbytes, r.kind)
+                        for r in state.comm_log.records[before:]]
+            assert executed == list(decode_messages(spec, mesh, state.owner,
+                                                    final=state.finished))
+            assert len(executed) == (world - 1) * (1 + (0 if state.finished
+                                                         else 2 * spec.num_layers))
+        assert state.finished
+
+    def test_decode_mirror_at_the_decode_benchmark_shape(self):
+        spec = AttentionSpec(num_q_heads=8, num_kv_heads=2, head_dim=16, num_layers=4)
+        mesh = build_mesh(Topology(num_nodes=2, gpus_per_node=4), 1, 8)
+        messages = list(decode_messages(spec, mesh, owner=3))
+        assert len(messages) == 63
+        assert sum(m[2] for m in messages) == 60_984
+        assert len(list(decode_messages(spec, mesh, owner=3, final=True))) == 7
+        with pytest.raises(ValueError, match="owner 8"):
+            list(decode_messages(spec, mesh, owner=8))
 
 
 class TestOverlapPenalty:
