@@ -48,8 +48,9 @@ EXIT_CONFIG_ERROR = 2
 
 ORACLE_TOLERANCE = 1e-10
 VERIFY_SEEDS = 3
-# Largest oracle score array (num_q_heads x L x L float64) verify and simulate
-# will allocate for their executed length L.
+# Bound on the oracle's scores at verify's and simulate's executed length L,
+# counted over all heads (num_q_heads x L x L float64), although the oracle
+# holds only one KV head's group of them at a time.
 MAX_ORACLE_SCORE_BYTES = 1 << 30
 
 

@@ -92,11 +92,14 @@ class StubModel:
             rows[i] = row
         return rows
 
-    def qkv(self, layer: int, x: np.ndarray):
-        """Project (n, hidden) rows into per-head q/k/v tensors."""
+    def qkv(self, layer: int, x: np.ndarray, *, kv: bool = True):
+        """Project (n, hidden) rows into per-head q/k/v tensors; without
+        ``kv``, k and v are not projected and come back as None."""
         spec = self.spec
         n = x.shape[0]
         q = (x @ self.w_q[layer]).reshape(n, spec.num_q_heads, spec.head_dim)
+        if not kv:
+            return np.ascontiguousarray(q.transpose(1, 0, 2)), None, None
         k = (x @ self.w_k[layer]).reshape(n, spec.num_kv_heads, spec.head_dim)
         v = (x @ self.w_v[layer]).reshape(n, spec.num_kv_heads, spec.head_dim)
         return (
@@ -247,7 +250,7 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
         x = model.embed([token])
         new_caches = []  # the owner's caches with the new token appended
         for layer in range(model.num_layers):
-            q, k, v = model.qkv(layer, x)
+            q, k, v = model.qkv(layer, x, kv=rank == owner)  # only the owner caches k, v
             cache = state.caches[rank][layer]
             if rank == owner:
                 cache = LayerCache(k=np.concatenate([cache.k, k], axis=1),

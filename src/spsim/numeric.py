@@ -109,35 +109,6 @@ def _check_positions(pos, name: str, length: int) -> np.ndarray:
     return arr
 
 
-def _grouped_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a`` (heads, n, x) times ``b`` (kv_heads, x, y), giving (heads, n, y).
-
-    Each KV head serves ``heads // kv_heads`` consecutive query heads
-    (contiguous grouping).  Their rows are stacked into one matrix per KV
-    head, so ``b`` is never copied out to every query head.
-    """
-    heads, n, _ = a.shape
-    kv_heads = b.shape[0]
-    stacked = a.reshape(kv_heads, heads // kv_heads * n, a.shape[2])
-    return np.matmul(stacked, b).reshape(heads, n, b.shape[2])
-
-
-def _scores(q, k) -> np.ndarray:
-    """Scaled scores (heads, n_q, n_k), no mask."""
-    scores = _grouped_matmul(q, k.transpose(0, 2, 1))
-    scores *= 1.0 / math.sqrt(q.shape[2])
-    return scores
-
-
-def _masked_scores(q, k, q_pos, kv_pos) -> np.ndarray:
-    """Scaled scores (heads, n_q, n_k) with causally masked entries at -inf."""
-    scores = _scores(q, k)
-    masked = kv_pos[np.newaxis, :] > q_pos[:, np.newaxis]
-    if masked.any():  # every row sees every key of the block otherwise
-        np.copyto(scores, -np.inf, where=masked)
-    return scores
-
-
 def reference_attention(q, k, v, spec: AttentionSpec, q_positions=None, kv_positions=None):
     """Exact causal grouped-query attention for one layer on one device.
 
@@ -172,15 +143,28 @@ def reference_attention(q, k, v, spec: AttentionSpec, q_positions=None, kv_posit
         if pos.size > 1 and np.any(np.diff(pos) <= 0):
             raise ValueError(f"{name} must be strictly increasing")
 
-    scores = _masked_scores(q, k, q_pos, kv_pos)
-    row_max = scores.max(axis=-1)
-    if np.any(np.isneginf(row_max)):
-        raise ValueError("some query rows attend no keys (empty causal window)")
-    scores -= row_max[..., np.newaxis]
-    weights = np.exp(scores, out=scores)
-    denom = weights.sum(axis=-1)
-    out = _grouped_matmul(weights, v)
-    out /= denom[..., np.newaxis]
+    # One KV head's group of query heads at a time: its rows stacked into one
+    # (group * n_q, head_dim) matrix, so the score temporaries are one
+    # group's, never every head's, and ``k`` is never copied out per head.
+    group, head_dim = spec.group_size, spec.head_dim
+    masked = kv_pos[np.newaxis, :] > q_pos[:, np.newaxis]
+    any_masked = masked.any()  # every row sees every key otherwise
+    out = np.empty((spec.num_q_heads, n_q, head_dim))
+    for kv_head in range(spec.num_kv_heads):
+        heads = slice(kv_head * group, (kv_head + 1) * group)
+        scores = np.matmul(q[heads].reshape(group * n_q, head_dim), k[kv_head].T)
+        scores *= 1.0 / math.sqrt(head_dim)
+        if any_masked:
+            np.copyto(scores.reshape(group, n_q, n_k), -np.inf, where=masked)
+        row_max = scores.max(axis=-1)
+        if np.any(np.isneginf(row_max)):
+            raise ValueError("some query rows attend no keys (empty causal window)")
+        scores -= row_max[:, np.newaxis]
+        weights = np.exp(scores, out=scores)
+        denom = weights.sum(axis=-1)
+        head_out = out[heads].reshape(group * n_q, head_dim)
+        np.matmul(weights, v[kv_head], out=head_out)
+        head_out /= denom[:, np.newaxis]
     return out
 
 
@@ -230,7 +214,8 @@ def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
     checked, and it folds into ``out.state``, which is returned.
 
     Provably-zero work is skipped.  Bitwise exact: the rescale on a fresh
-    fold's first visible block (zeros times 0), the -inf guard once every
+    fold's first visible block (zeros times 0) and its add to the zero
+    accumulator where that is contiguous, the -inf guard once every
     row has seen a key, the causal mask on a block every row fully sees, and
     rows that see no key of the block.  Keys that no row sees weigh exactly
     0, but dropping them shortens the matmul and sum, which can move last bits.
@@ -278,7 +263,7 @@ def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
         if kv_hi > q_hi:
             n_k -= int((kv_pos[::-1] <= q_hi).argmax())
             k, v, kv_pos = k[:, :n_k], v[:, :n_k], kv_pos[:n_k]
-    # The score and value matmuls are _grouped_matmul's, inline.
+    # Each KV head's query group is stacked into one matrix, as in the oracle.
     group = heads // kv_heads
     scores = np.matmul(q.reshape(kv_heads, group * n_q, head_dim), k.transpose(0, 2, 1))
     scores = scores.reshape(heads, n_q, n_k)
@@ -298,13 +283,18 @@ def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
         out.all_seen = first == 0 and not unseen.any()
     scores -= safe_max[..., np.newaxis]
     weights = np.exp(scores, out=scores)
-    if not out.fresh:
-        rescale = np.exp(running_max - safe_max)
-        output *= rescale[..., np.newaxis]
-        denominator *= rescale
+    stacked = weights.reshape(kv_heads, group * n_q, n_k)
+    if out.fresh and output.flags.c_contiguous:
+        # The accumulator is all +0.0, and +0.0 + x == x for every x a matmul
+        # returns (its sums start from +0.0, so never -0.0): write in place.
+        np.matmul(stacked, v, out=output.reshape(kv_heads, group * n_q, head_dim))
+    else:
+        if not out.fresh:
+            rescale = np.exp(running_max - safe_max)
+            output *= rescale[..., np.newaxis]
+            denominator *= rescale
+        output += np.matmul(stacked, v).reshape(heads, n_q, head_dim)
     out.fresh = False
-    output += np.matmul(weights.reshape(kv_heads, group * n_q, n_k), v).reshape(
-        heads, n_q, head_dim)
     denominator += np.add.reduce(weights, axis=-1)
     running_max[...] = new_max
     return out.state

@@ -218,6 +218,19 @@ def _head_slices(total: int, parts: int):
     return [slice(i * width, (i + 1) * width) for i in range(parts)]
 
 
+def _kv_head_cuts(num_kv_heads: int, degree: int, effective_kv: int):
+    """Per a2a member, the KV head that each head of its shard repeats: the
+    ``effective_kv`` replicated heads cut evenly into ``degree`` shards."""
+    repeats = effective_kv // num_kv_heads
+    return [[h // repeats for h in range(cut.start, cut.stop)]
+            for cut in _head_slices(effective_kv, degree)]
+
+
+def _one_head_replicated(heads) -> bool:
+    """Whether a shard is several replicas of one KV head."""
+    return len(heads) > 1 and heads[0] == heads[-1]
+
+
 def _kv_shards(kv: np.ndarray, degree: int, effective_kv: int):
     """One a2a group's KV head shards, with replicated heads never copied out.
 
@@ -228,19 +241,16 @@ def _kv_shards(kv: np.ndarray, degree: int, effective_kv: int):
     KV heads copies only its own heads.  ``nbytes`` counts a view's logical
     bytes, so the logged traffic is that of the replicated heads.
     """
-    cuts = _head_slices(effective_kv, degree)
-    repeats = effective_kv // kv.shape[0]
-    if repeats == 1:
-        return [kv[cut] for cut in cuts]
+    if effective_kv == kv.shape[0]:
+        return [kv[cut] for cut in _head_slices(effective_kv, degree)]
     shards = []
-    for cut in cuts:
-        heads = [h // repeats for h in range(cut.start, cut.stop)]
-        if heads[0] != heads[-1]:
-            shards.append(kv[heads])
-        elif len(heads) == 1:
-            shards.append(kv[heads[0]:heads[0] + 1])
-        else:
+    for heads in _kv_head_cuts(kv.shape[0], degree, effective_kv):
+        if _one_head_replicated(heads):
             shards.append(np.broadcast_to(kv[heads[0]], (len(heads),) + kv.shape[1:]))
+        elif heads[0] != heads[-1]:
+            shards.append(kv[heads])
+        else:
+            shards.append(kv[heads[0]:heads[0] + 1])
     return shards
 
 
@@ -267,13 +277,19 @@ def attention_rank_body(handle, mesh, plan, spec, q, k, v, kv_replication):
         _kv_shards(k, degree, effective_kv), _kv_shards(v, degree, effective_kv))))
     positions = plan.group_positions(a2a_group)
     rows = [np.searchsorted(positions, plan.rank_positions(member)) for member in a2a_group]
+    # Replicas of one KV head are held once and folded as a broadcast view,
+    # the way _kv_shards sends them.
+    held_once = _one_head_replicated(_kv_head_cuts(
+        spec.num_kv_heads, degree, effective_kv)[a2a_group.index(handle.rank)])
     segments = []
     for index in range(3):  # q, k, v
         first = received[0][index]
-        segment = np.empty((first.shape[0], positions.size, first.shape[2]), first.dtype)
+        heads = 1 if index and held_once else first.shape[0]
+        segment = np.empty((heads, positions.size, first.shape[2]), first.dtype)
         for part, member_rows in zip(received, rows):
-            segment[:, member_rows] = part[index]
-        segments.append(segment)
+            segment[:, member_rows] = part[index][:heads]
+        segments.append(np.broadcast_to(segment, (first.shape[0],) + segment.shape[1:])
+                        if heads < first.shape[0] else segment)
     del received
 
     def segment_positions(ring_member):

@@ -205,6 +205,26 @@ class TestDecode:
         sp_decode_step(mesh, state)
         assert calls == [4] * SPEC.num_layers
 
+    def test_only_the_owner_projects_k_and_v(self, monkeypatch):
+        mesh = make_mesh(4)
+        encoded, plan = make_prompt(mesh)
+        model = StubModel(SPEC, eos_token_id=-1)
+        state = sp_prefill(mesh, encoded, plan, model)
+        x = model.embed([3])
+        q, k, v = model.qkv(0, x)
+        q_only = model.qkv(0, x, kv=False)
+        assert q_only[1:] == (None, None) and q_only[0].tobytes() == q.tobytes()
+        calls = []
+        original = StubModel.qkv
+
+        def recorded(self, layer, rows, *, kv=True):
+            calls.append(kv)
+            return original(self, layer, rows, kv=kv)
+
+        monkeypatch.setattr(StubModel, "qkv", recorded)
+        sp_decode_step(mesh, state)
+        assert sorted(calls) == [False] * (3 * SPEC.num_layers) + [True] * SPEC.num_layers
+
 
 class TestPipelineBaseline:
     TOPO = Topology(num_nodes=1, gpus_per_node=8)

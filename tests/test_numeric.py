@@ -135,6 +135,39 @@ class TestReferenceAttention:
             reference_attention(q, k, v, spec, np.array([0, 2, 1, 3]), np.arange(4))
 
 
+@st.composite
+def oracle_inputs(draw):
+    """(spec, q, k, v, q positions, KV positions): random GQA shapes and
+    strictly increasing positions, some queries possibly before every key."""
+    kv_heads = draw(st.integers(1, 3))
+    spec = AttentionSpec(num_q_heads=kv_heads * draw(st.integers(1, 4)),
+                         num_kv_heads=kv_heads, head_dim=draw(st.integers(1, 8)))
+    kv_pos = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=20)))
+    q_pos = sorted(draw(st.sets(st.integers(0, 48), min_size=1, max_size=20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    q = 3 * rng.standard_normal((spec.num_q_heads, len(q_pos), spec.head_dim))
+    k = 3 * rng.standard_normal((kv_heads, len(kv_pos), spec.head_dim))
+    v = rng.standard_normal((kv_heads, len(kv_pos), spec.head_dim))
+    return spec, q, k, v, np.array(q_pos), np.array(kv_pos)
+
+
+class TestOracleByKVGroup:
+    """The oracle computes one KV head's query group at a time; it must
+    still be the plain softmax of every query head (the triple loop above)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(inputs=oracle_inputs())
+    def test_matches_per_query_head_softmax(self, inputs):
+        spec, q, k, v, q_pos, kv_pos = inputs
+        if q_pos[0] < kv_pos[0]:
+            with pytest.raises(ValueError, match="empty causal window"):
+                reference_attention(q, k, v, spec, q_pos, kv_pos)
+            return
+        got = reference_attention(q, k, v, spec, q_pos, kv_pos)
+        want = _naive_gqa_attention(q, k, v, q_pos, kv_pos)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
 class TestBlockwiseAccumulation:
     def test_single_block_equals_reference(self):
         spec = AttentionSpec(num_q_heads=4, num_kv_heads=4, head_dim=8)
@@ -446,6 +479,32 @@ class TestDecodeFold:
             assert np.max(np.abs(finalize_attention(fold.state) - want)) < 1e-10
         else:
             assert functional is fresh
+
+
+class TestFirstFoldInPlace:
+    """A fresh fold writes its first visible block's P.V straight into the
+    zero accumulator when that is contiguous; the functional form on
+    ``init_attention_state`` adds it to zeros.  The bits must agree."""
+
+    @pytest.mark.parametrize("heads,kv_heads,q_pos,kv_pos", [
+        (4, 2, [3, 4, 5, 6], [0, 1, 2, 3]),  # untrimmed: written in place
+        (1, 1, [1, 2, 5, 6], [4, 5, 7]),  # one head, trimmed rows: still contiguous
+        (4, 2, [1, 2, 5, 6], [4, 5, 7]),  # several heads, trimmed rows: added
+        (2, 1, [5, 0, 6], [3, 4]),  # the row at 0 sees no key: its weights are all 0
+    ])
+    def test_equals_functional_form_bitwise(self, heads, kv_heads, q_pos, kv_pos):
+        rng = np.random.default_rng(heads + len(kv_pos))
+        q = rng.standard_normal((heads, len(q_pos), 4))
+        k = rng.standard_normal((kv_heads, len(kv_pos), 4))
+        v = -np.abs(rng.standard_normal((kv_heads, len(kv_pos), 4)))  # 0 * v is -0.0
+        q_pos, kv_pos = np.array(q_pos), np.array(kv_pos)
+        fold = start_fold(q, q_pos)
+        blockwise_attention_step(fold.state, fold.q, k, v, fold.q_positions, kv_pos,
+                                 out=fold)
+        functional = blockwise_attention_step(init_attention_state(*q.shape), q, k, v,
+                                              q_pos, kv_pos)
+        for a, b in zip(functional.as_arrays(), fold.state.as_arrays()):
+            assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
 class TestFoldProperty:

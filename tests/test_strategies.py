@@ -439,12 +439,35 @@ class TestKVReplicationLayouts:
 
     @pytest.mark.parametrize("kind", ["ulysses", "two_d"])
     @pytest.mark.parametrize("spec,degree", KV_LAYOUTS)
-    def test_matches_oracle_and_analytic_messages(self, spec, degree, kind):
+    def test_matches_oracle_and_analytic_messages(self, monkeypatch, spec, degree, kind):
+        # A rank whose shard is replicas of one KV head holds that head once:
+        # its ring pass gets read-only stride-0 views of it.
+        import spsim.strategies as strategies
+
+        held = {}
+        original = strategies._ring_pass
+
+        def capture(handle, ring_group, q, k, v, *rest):
+            held[handle.rank] = (k, v)
+            return original(handle, ring_group, q, k, v, *rest)
+
+        monkeypatch.setattr(strategies, "_ring_pass", capture)
         p2p = 1 if kind == "ulysses" else 2
         mesh = sp_mesh(degree * p2p, a2a=degree, nodes=p2p)
         config = StrategyConfig(kind, a2a_degree=degree, p2p_degree=p2p, kv_replication=True)
         q, k, v = random_qkv(np.random.default_rng(29), spec, 48)
         run = execute_strategy(mesh, config, spec, q, k, v)
+        effective = effective_kv_heads(spec, degree, kv_replication=True)
+        repeats, width = effective // spec.num_kv_heads, effective // degree
+        assert sorted(held) == list(range(degree * p2p))
+        for rank, kv in held.items():
+            j = mesh.a2a_group_of(rank).index(rank)
+            one_head = width > 1 and len({h // repeats for h in range(j * width,
+                                                                      (j + 1) * width)}) == 1
+            for array in kv:
+                assert array.shape[0] == width
+                assert (array.strides[0] == 0) == one_head
+                assert array.flags.writeable != one_head
         want = reference_attention(q, k, v, spec)
         assert np.max(np.abs(run.gathered() - want)) < 1e-10
         executed = Counter((r.src, r.dst, r.nbytes, r.kind) for r in run.log.records)
