@@ -235,21 +235,16 @@ def build_mesh(topology: Topology, a2a_degree: int = 1, p2p_degree: int = 1) -> 
             f"does not divide world size {world}"
         )
     mesh = DeviceMesh(topology=topology, a2a_degree=a2a_degree, p2p_degree=p2p_degree)
-    for base in range(0, world, sp):
-        for rank in range(base, base + sp, a2a_degree):
-            group = mesh.a2a_group_of(rank)
-            if len({topology.node_of(r) for r in group}) > 1:
-                warnings.warn(
-                    f"all-to-all group {group} spans nodes "
-                    f"(a2a_degree={a2a_degree}, gpus_per_node={topology.gpus_per_node}); "
-                    "its traffic will use inter-node links",
-                    MeshPlacementWarning,
-                    stacklevel=2,
-                )
-                break
-        else:
-            continue
-        break
+    for first in range(0, world, a2a_degree):  # a group is a contiguous rank span
+        if topology.node_of(first) != topology.node_of(first + a2a_degree - 1):
+            warnings.warn(
+                f"all-to-all group {mesh.a2a_group_of(first)} spans nodes "
+                f"(a2a_degree={a2a_degree}, gpus_per_node={topology.gpus_per_node}); "
+                "its traffic will use inter-node links",
+                MeshPlacementWarning,
+                stacklevel=2,
+            )
+            break
     return mesh
 
 
@@ -377,7 +372,6 @@ class _Runtime:
         for lock in (*self._thread, self._caller):
             lock.acquire()
         self.cancelled = False
-        self.msg_counter = 0
 
     # -- rank-thread side -------------------------------------------------
 
@@ -550,8 +544,7 @@ class _Runtime:
             nbytes = sizes[id(payload)] = payload_nbytes(payload)
         link = self.mesh.topology.link_class(src, dst)
         self.log.append(CommRecord(step, kind, src, dst, nbytes, link))
-        index = self.msg_counter
-        self.msg_counter += 1
+        index = len(self.log.records) - 1
         if self.fault is not None and index == self.fault.message_index:
             payload = _tamper(payload)
             self.log.tampered.append((src, dst, step, index))

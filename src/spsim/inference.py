@@ -382,12 +382,11 @@ def sp_inference_report(mesh: DeviceMesh, spec: AttentionSpec, seq_len: int,
 
 
 def pipeline_max_seq(topology: Topology, spec: AttentionSpec, stages: int,
-                     per_device_memory: float = 80e9,
                      cost: perf.PerfCost = perf.DEFAULT_COST) -> int:
     """Longest sequence the pipeline's first device can hold."""
     first_weights = (spec.num_layers // stages) / spec.num_layers \
         * cost.total_weight_bytes(spec)
-    budget = per_device_memory - first_weights
+    budget = cost.device_memory_bytes - first_weights
     if budget <= 0:
         return 0
     per_token = cost.bytes_per_token(spec) * (
@@ -397,11 +396,10 @@ def pipeline_max_seq(topology: Topology, spec: AttentionSpec, stages: int,
 
 
 def sp_max_seq(mesh: DeviceMesh, spec: AttentionSpec,
-               per_device_memory: float = 80e9,
                cost: perf.PerfCost = perf.DEFAULT_COST) -> int:
     """Longest sequence when activations are spread evenly across devices."""
     world = mesh.world_size
-    budget = per_device_memory - cost.total_weight_bytes(spec) / world
+    budget = cost.device_memory_bytes - cost.total_weight_bytes(spec) / world
     if budget <= 0:
         return 0
     per_token = cost.bytes_per_token(spec) * (

@@ -27,7 +27,7 @@ from .strategies import (
 
 __all__ = [
     "PerfCost",
-    "OverlapPenalty",
+    "overlap_penalty",
     "ModelProfile",
     "CalibrationRow",
     "PROFILE_NAMES",
@@ -68,6 +68,7 @@ class PerfCost:
     activation_bytes: float = 2.0  # activations are half precision
     weight_bytes_per_param: float = 2.0
     memory_overhead_bytes: float = 2e9
+    device_memory_bytes: float = 80e9  # per-device budget of the max-length estimates
     linear_params_factor: float = 12.0  # inference: per-layer linear params / hidden^2
     input_resident_factor: float = 100.0  # inference: embeddings + vision pinned on device 0
     working_factor: float = 22.0  # inference: per-device working activations
@@ -111,36 +112,19 @@ _OVERLAP_TABLE = (
 )
 
 
-@dataclass(frozen=True)
-class OverlapPenalty:
-    """Relative compute slowdown vs per-rank sequence length (non-increasing)."""
-
-    table: tuple[tuple[int, float], ...] = _OVERLAP_TABLE
-
-    def __post_init__(self) -> None:
-        lengths = [t[0] for t in self.table]
-        values = [t[1] for t in self.table]
-        if any(b <= a for a, b in zip(lengths, lengths[1:])):
-            raise ValueError("penalty table lengths must increase")
-        if any(v < 0 for v in values):
-            raise ValueError("penalties must be >= 0")
-        if any(b > a for a, b in zip(values, values[1:])):
-            raise ValueError("penalty must be non-increasing with length")
-
-    def __call__(self, per_rank_tokens: float) -> float:
-        pts = self.table
-        if per_rank_tokens <= pts[0][0]:
-            return pts[0][1]
-        if per_rank_tokens >= pts[-1][0]:
-            return pts[-1][1]
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x0 <= per_rank_tokens <= x1:
-                frac = (per_rank_tokens - x0) / (x1 - x0)
-                return y0 + frac * (y1 - y0)
-        raise AssertionError("unreachable")
-
-
-DEFAULT_PENALTY = OverlapPenalty()
+def overlap_penalty(per_rank_tokens: float) -> float:
+    """Relative compute slowdown at a per-rank sequence length: the table
+    interpolated linearly, clamped at its ends."""
+    pts = _OVERLAP_TABLE
+    if per_rank_tokens <= pts[0][0]:
+        return pts[0][1]
+    if per_rank_tokens >= pts[-1][0]:
+        return pts[-1][1]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if x0 <= per_rank_tokens <= x1:
+            frac = (per_rank_tokens - x0) / (x1 - x0)
+            return y0 + frac * (y1 - y0)
+    raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)
@@ -420,8 +404,7 @@ def per_rank_comm_seconds(config: StrategyConfig, spec: AttentionSpec, seq_len: 
 # ---------------------------------------------------------------------------
 
 def iteration_time(config: StrategyConfig, profile: ModelProfile, topology: Topology,
-                   seq_len: int, num_frames: int = 0, cost: PerfCost = DEFAULT_COST,
-                   penalty: OverlapPenalty = DEFAULT_PENALTY) -> float:
+                   seq_len: int, num_frames: int = 0, cost: PerfCost = DEFAULT_COST) -> float:
     """Modeled seconds per training iteration (forward+backward).
 
     Ring strategies hide KV transfers under the attention kernel at the
@@ -447,7 +430,7 @@ def iteration_time(config: StrategyConfig, profile: ModelProfile, topology: Topo
     for rank_comm in comm_fwd[: sp]:
         comm = rank_comm * cost.backward_multiplier
         if config.kind in RING_KINDS:
-            penalized = compute * (1.0 + penalty(per_rank_tokens))
+            penalized = compute * (1.0 + overlap_penalty(per_rank_tokens))
             times.append(max(penalized, comm))
         else:
             times.append(compute + comm)
@@ -503,7 +486,7 @@ def _sp_cap(config: StrategyConfig | str, spec: AttentionSpec) -> int | None:
 
 
 def max_context(config: StrategyConfig | str, profile: ModelProfile, world_size: int,
-                per_device_memory: float = 80e9, cost: PerfCost = DEFAULT_COST) -> int:
+                cost: PerfCost = DEFAULT_COST) -> int:
     """Largest context whose per-rank memory fits the per-device budget.
 
     Ulysses is capped at its head-count degree; plain data parallelism never
@@ -514,7 +497,7 @@ def max_context(config: StrategyConfig | str, profile: ModelProfile, world_size:
     cap = _sp_cap(config, profile.spec)
     sp = world_size if cap is None else min(world_size, cap)
     weights = profile.total_params * cost.weight_bytes_per_param / world_size
-    budget = per_device_memory - weights - cost.memory_overhead_bytes
+    budget = cost.device_memory_bytes - weights - cost.memory_overhead_bytes
     if budget <= 0:
         return 0
     per_token = cost.activation_bytes_per_token(profile.spec)
@@ -596,16 +579,12 @@ def plan(topology: Topology, profile: ModelProfile, seq_len: int,
     returns the argmin; ties prefer a larger a2a factor, then a smaller p2p.
     """
     world = topology.world_size
-    if world < 1:
-        raise ValueError("no valid strategy for an empty world")
     candidates: list[StrategyConfig] = []
     for a2a in _divisors(world):
         try:
             candidates.append(resolve_strategy(profile.spec, world, a2a=a2a))
         except StrategyConfigError:
             continue
-    if not candidates:
-        raise StrategyConfigError("no valid strategy for this topology and model")
     scored = [
         (iteration_time(cfg, profile, topology, seq_len, cost=cost),
          -cfg.a2a_degree, cfg.p2p_degree, cfg)

@@ -47,6 +47,7 @@ KIND_DUMMY = 2
 
 _VISION_STUB_SEED = 0x51AB
 _TEXT_STUB_SEED = 0x7E47
+_TEXT_VOCAB = 1024  # build_sequences' text token ids
 
 
 @dataclass(frozen=True)
@@ -433,7 +434,7 @@ def load_samples(path) -> list[SampleSpec]:
     return samples
 
 
-def build_sequences(samples, text_vocab: int = 1024) -> list[MultimodalSequence]:
+def build_sequences(samples) -> list[MultimodalSequence]:
     """Materialize deterministic multimodal sequences from sample specs.
 
     Text token ids derive from the sample id; frame ids are numbered by a
@@ -449,6 +450,6 @@ def build_sequences(samples, text_vocab: int = 1024) -> list[MultimodalSequence]
             elements.append(ImagePlaceholder(next_frame_id))
             next_frame_id += 1
         for i in range(spec.num_text_tokens):
-            elements.append(TextToken((spec.sample_id * 10007 + i) % text_vocab))
+            elements.append(TextToken((spec.sample_id * 10007 + i) % _TEXT_VOCAB))
         sequences.append(MultimodalSequence(spec.sample_id, tuple(elements)))
     return sequences

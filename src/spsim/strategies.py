@@ -28,7 +28,7 @@ from .numeric import (
     finalize_attention,
     start_fold,
 )
-from .sharding import ShardPlan, contiguous_shard, shard_plan
+from .sharding import ShardPlan, shard_plan
 
 __all__ = [
     "STRATEGY_KINDS",
@@ -365,9 +365,8 @@ def zigzag_ring_attention(mesh, plan, q_shards, k_shards, v_shards, spec, fault=
                           fault=fault)
 
 
-def ulysses_attention(mesh, q_shards, k_shards, v_shards, spec,
-                      kv_replication: bool = False, plan: ShardPlan | None = None,
-                      fault=None):
+def ulysses_attention(mesh, plan, q_shards, k_shards, v_shards, spec,
+                      kv_replication: bool = False, fault=None):
     """All-to-all head sharding over contiguous sequence shards.
 
     The first exchange turns (seq/P, all heads) into (full seq, heads/P);
@@ -375,7 +374,6 @@ def ulysses_attention(mesh, q_shards, k_shards, v_shards, spec,
     exchange restores sequence sharding.  The degree is capped by the head
     counts: KV heads without replication, query heads with it.
     """
-    plan = plan or contiguous_shard(q_shards[0].shape[1] * mesh.a2a_degree, mesh.a2a_degree)
     return _run_attention("ulysses", mesh, plan, q_shards, k_shards, v_shards, spec,
                           kv_replication, fault)
 
@@ -420,23 +418,12 @@ def execute_strategy(mesh: DeviceMesh, config: StrategyConfig, spec: AttentionSp
         )
     config.validate_heads(spec)
     plan = plan_for_strategy(config, q.shape[1])
+    # Built per call, so a wrapper later set on these names (perfbench's tracer) runs.
+    run = {"naive_ring": ring_attention, "zigzag_ring": zigzag_ring_attention,
+           "ulysses": ulysses_attention, "two_d": attention_2d}[config.kind]
+    extra = () if config.kind in RING_KINDS else (config.kv_replication,)
     q_shards = plan.shard(q, axis=1)
     k_shards = plan.shard(k, axis=1)
     v_shards = plan.shard(v, axis=1)
-    if config.kind == "naive_ring":
-        outputs, log = ring_attention(mesh, plan, q_shards, k_shards, v_shards, spec,
-                                      fault=fault)
-    elif config.kind == "zigzag_ring":
-        outputs, log = zigzag_ring_attention(mesh, plan, q_shards, k_shards, v_shards,
-                                             spec, fault=fault)
-    elif config.kind == "ulysses":
-        outputs, log = ulysses_attention(
-            mesh, q_shards, k_shards, v_shards, spec,
-            kv_replication=config.kv_replication, plan=plan, fault=fault,
-        )
-    else:
-        outputs, log = attention_2d(
-            mesh, plan, q_shards, k_shards, v_shards, spec,
-            kv_replication=config.kv_replication, fault=fault,
-        )
+    outputs, log = run(mesh, plan, q_shards, k_shards, v_shards, spec, *extra, fault=fault)
     return StrategyRun(config=config, plan=plan, outputs=outputs, log=log)

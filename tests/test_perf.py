@@ -23,8 +23,7 @@ from spsim.strategies import (
     resolve_strategy,
 )
 from spsim.perf import (
-    DEFAULT_PENALTY,
-    OverlapPenalty,
+    _OVERLAP_TABLE,
     PerfCost,
     calibrate,
     comm_volume,
@@ -34,6 +33,7 @@ from spsim.perf import (
     max_context,
     megatron_baseline_time,
     model_profile,
+    overlap_penalty,
     plan,
     prefill_messages,
     reference_rows,
@@ -249,18 +249,20 @@ class TestInferenceMessages:
 
 class TestOverlapPenalty:
     def test_measured_anchor_at_4k(self):
-        assert DEFAULT_PENALTY(4096) == pytest.approx(0.186)
+        assert overlap_penalty(4096) == pytest.approx(0.186)
 
     def test_clamped_and_non_increasing(self):
-        assert DEFAULT_PENALTY(1024) == pytest.approx(0.186)
-        assert DEFAULT_PENALTY(10**6) == pytest.approx(0.042)
+        assert overlap_penalty(1024) == pytest.approx(0.186)
+        assert overlap_penalty(10**6) == pytest.approx(0.042)
         xs = np.linspace(1000, 40000, 40)
-        ys = [DEFAULT_PENALTY(x) for x in xs]
+        ys = [overlap_penalty(x) for x in xs]
         assert all(b <= a + 1e-12 for a, b in zip(ys, ys[1:]))
 
-    def test_rejects_increasing_table(self):
-        with pytest.raises(ValueError, match="non-increasing"):
-            OverlapPenalty(table=((4096, 0.1), (8192, 0.2)))
+    def test_table_is_ordered(self):
+        lengths, values = zip(*_OVERLAP_TABLE)
+        assert all(b > a for a, b in zip(lengths, lengths[1:]))
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        assert values[-1] >= 0
 
 
 class TestIterationTime:

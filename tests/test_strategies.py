@@ -351,6 +351,30 @@ class TestTracedNames:
         execute_strategy(sp_mesh(a2a * p2p, a2a), config, SPEC, q, k, v)
         assert len(calls) == hops
 
+    @pytest.mark.parametrize("kind,a2a,p2p", [
+        ("naive_ring", 1, 4), ("zigzag_ring", 1, 4), ("ulysses", 2, 1), ("two_d", 2, 2),
+    ])
+    def test_one_public_wrapper_call_per_run(self, monkeypatch, kind, a2a, p2p):
+        """The ``strategies.<kind>.s`` spans wrap the four public wrappers by
+        name: a run calls the one for its kind, once."""
+        import spsim.strategies as strategies
+
+        wrappers = {"naive_ring": "ring_attention", "zigzag_ring": "zigzag_ring_attention",
+                    "ulysses": "ulysses_attention", "two_d": "attention_2d"}
+        calls = []
+        for name in wrappers.values():
+            original = getattr(strategies, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(strategies, name, counted)
+        q, k, v = random_qkv(np.random.default_rng(10), SPEC, 16)
+        config = StrategyConfig(kind, a2a_degree=a2a, p2p_degree=p2p)
+        execute_strategy(sp_mesh(a2a * p2p, a2a), config, SPEC, q, k, v)
+        assert calls == [wrappers[kind]]
+
 
 def fold_as_it_arrives(plan, q_shards, k_shards, v_shards):
     """A ring program that folds each KV block as its hop delivers it.
