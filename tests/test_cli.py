@@ -1,6 +1,7 @@
 """CLI: subcommands, config validation, determinism, fault injection."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -278,6 +279,65 @@ class TestDeterminism:
         assert run_cli("verify", "--config", cfg, "--out", str(out_a)) == 0
         assert run_cli("verify", "--config", cfg, "--out", str(out_b), "--seed", "9") == 0
         assert out_a.read_bytes() != out_b.read_bytes()
+
+
+# sha256 of the analytic commands' stdout and stderr, then of every file a
+# run with --out writes (the main file and its sidecars), per scenario.  These
+# outputs are pure Python floats and integer byte counts, so they move only
+# with the cost model.  verify is left out: its max_abs_diff depends on the
+# BLAS build.
+PINNED_SCENARIOS = {
+    "default": {},
+    "1x4-frames-samples": {"topology": {"nodes": 1, "gpus_per_node": 4},
+                           "workload": {"frames": 8}},
+}
+PINNED_OUTPUT_SHA256 = {
+    ("1x4-frames-samples", "plan"):
+        "11b388e860009307ad434de932b946e3e7fb60169cf8cd6782583e1fb520c747",
+    ("1x4-frames-samples", "infer"):
+        "0dbc7c14a52a45d456afc0bdb91a177583429766b08c74e2f2c96504f67ec4fb",
+    ("1x4-frames-samples", "simulate"):
+        "f44275ec5bffc80316e77c4e6afbe7e3a4b73312ba18c3d2fdd9bd5a3ad8f945",
+    ("1x4-frames-samples", "profile"):
+        "d720bc373ba9b8261e270db3e820ef55a5b816390dd60e3762feed2bf504cf1f",
+    ("default", "plan"):
+        "87562a1f006ee446732a62acb29c6abff39f02ce35f662e30597ff4575da684d",
+    ("default", "infer"):
+        "e1f9c468d5f27c6361a9cb4e42069dd527031571c518b4b83c21a6d620ccecfc",
+    ("default", "simulate"):
+        "3bb55be3ce6efe2a55b8ec741c1461f9c4557b5c9919a0c429c42e760af9c5e4",
+    ("default", "profile"):
+        "d720bc373ba9b8261e270db3e820ef55a5b816390dd60e3762feed2bf504cf1f",
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("command,extra", [
+        ("plan", ()),
+        ("infer", ()),
+        ("simulate", ()),
+        ("profile", ("--model", "7b")),
+    ])
+    @pytest.mark.parametrize("scenario", sorted(PINNED_SCENARIOS))
+    def test_outputs_match_the_pinned_digest(self, tmp_path, capsys, scenario, command,
+                                             extra):
+        payload = PINNED_SCENARIOS[scenario]
+        if "frames" in payload.get("workload", {}):
+            samples = tmp_path / "samples.txt"
+            samples.write_text("".join(f"{i} 8 {260 + 20 * i}\n" for i in range(8)))
+            payload = {**payload,
+                       "workload": {**payload["workload"], "samples_file": str(samples)}}
+        cfg = write_config(tmp_path, payload)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        digest = hashlib.sha256()
+        for out in ((), ("--out", str(out_dir / "run"))):
+            assert run_cli(command, "--config", cfg, *out, *extra) == 0
+            captured = capsys.readouterr()
+            digest.update(f"\0stdout\0{captured.out}\0stderr\0{captured.err}".encode())
+        for path in sorted(out_dir.iterdir()):
+            digest.update(f"\0{path.name}\0".encode() + path.read_bytes())
+        assert digest.hexdigest() == PINNED_OUTPUT_SHA256[(scenario, command)]
 
 
 class TestSimulate:
