@@ -225,8 +225,11 @@ def emit_text(out_path: str | None, lines, seed: int) -> str:
     body.append(f"# spsim {__version__} seed={seed}")
     text = "\n".join(body) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"out: cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     return text

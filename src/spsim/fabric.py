@@ -199,10 +199,6 @@ class DeviceMesh:
     def _sp_base(self, rank: int) -> int:
         return rank - rank % self.sp_degree
 
-    def sp_group_of(self, rank: int) -> tuple[int, ...]:
-        base = self._sp_base(rank)
-        return tuple(range(base, base + self.sp_degree))
-
     def a2a_index(self, rank: int) -> int:
         return (rank % self.sp_degree) % self.a2a_degree
 

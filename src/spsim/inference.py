@@ -310,18 +310,37 @@ class ScheduleReport:
     def num_devices(self) -> int:
         return len(self.busy_seconds)
 
-    def utilization(self, device: int) -> float:
-        return self.busy_seconds[device] / self.total_latency
-
     def rows(self):
         for dev in range(self.num_devices):
             yield (self.mode, dev, self.busy_seconds[dev], self.idle_seconds[dev],
                    self.peak_memory_bytes[dev])
 
 
+# Inference's own footprint model, which prices a layer from the hidden size
+# alone rather than from the profile's parameter counts.
+_LINEAR_PARAMS_FACTOR = 12.0  # per-layer linear params / hidden^2
+_INPUT_RESIDENT_FACTOR = 100.0  # embeddings + vision pinned on device 0
+_WORKING_FACTOR = 22.0  # per-device working activations
+
+
+def _layer_forward_flops(spec: AttentionSpec, seq_len: int) -> float:
+    hidden = spec.hidden_size
+    linear = 2.0 * _LINEAR_PARAMS_FACTOR * hidden * hidden * seq_len
+    attention = 2.0 * seq_len * seq_len * hidden
+    return linear + attention
+
+
+def _total_weight_bytes(spec: AttentionSpec) -> float:
+    params = spec.num_layers * _LINEAR_PARAMS_FACTOR * spec.hidden_size**2
+    return params * perf.WEIGHT_BYTES_PER_PARAM
+
+
+def _bytes_per_token(spec: AttentionSpec) -> float:
+    return spec.hidden_size * perf.ACTIVATION_BYTES
+
+
 def pipeline_baseline(topology: Topology, spec: AttentionSpec, seq_len: int,
-                      stages: int, cost: perf.PerfCost = perf.DEFAULT_COST
-                      ) -> ScheduleReport:
+                      stages: int) -> ScheduleReport:
     """Layer-by-layer pipeline over one request: one device busy at a time.
 
     The first device additionally holds the full input embeddings and vision
@@ -331,22 +350,22 @@ def pipeline_baseline(topology: Topology, spec: AttentionSpec, seq_len: int,
         raise ValueError(f"stages must be in [1, {topology.world_size}]")
     layers = [spec.num_layers // stages] * stages
     layers[-1] += spec.num_layers - sum(layers)
-    layer_seconds = cost.layer_forward_flops(spec, seq_len) / cost.device_rate
+    layer_seconds = _layer_forward_flops(spec, seq_len) / perf.DEVICE_RATE
     busy = [n * layer_seconds for n in layers]
     transfer_total = 0.0
     for dev in range(stages - 1):
         transfer_total += comm_time(
-            seq_len * cost.bytes_per_token(spec),
+            seq_len * _bytes_per_token(spec),
             topology.link_class(dev, dev + 1),
             topology,
         )
     total = sum(busy) + transfer_total
     idle = [total - b for b in busy]
-    weight_share = [n / spec.num_layers * cost.total_weight_bytes(spec) for n in layers]
-    token_bytes = seq_len * cost.bytes_per_token(spec)
+    weight_share = [n / spec.num_layers * _total_weight_bytes(spec) for n in layers]
+    token_bytes = seq_len * _bytes_per_token(spec)
     peak = [
-        w + token_bytes * cost.working_factor
-        + (token_bytes * cost.input_resident_factor if dev == 0 else 0.0)
+        w + token_bytes * _WORKING_FACTOR
+        + (token_bytes * _INPUT_RESIDENT_FACTOR if dev == 0 else 0.0)
         for dev, w in enumerate(weight_share)
     ]
     return ScheduleReport(
@@ -358,19 +377,18 @@ def pipeline_baseline(topology: Topology, spec: AttentionSpec, seq_len: int,
     )
 
 
-def sp_inference_report(mesh: DeviceMesh, spec: AttentionSpec, seq_len: int,
-                        cost: perf.PerfCost = perf.DEFAULT_COST) -> ScheduleReport:
+def sp_inference_report(mesh: DeviceMesh, spec: AttentionSpec, seq_len: int) -> ScheduleReport:
     """All devices busy concurrently; activations and KV spread evenly."""
     world = mesh.world_size
-    compute = spec.num_layers * cost.layer_forward_flops(spec, seq_len) \
-        / cost.device_rate / world
+    compute = spec.num_layers * _layer_forward_flops(spec, seq_len) \
+        / perf.DEVICE_RATE / world
     config = resolve_strategy(spec, mesh.sp_degree, a2a=mesh.a2a_degree, p2p=mesh.p2p_degree)
     comm = max(perf.per_rank_comm_seconds(config, spec, seq_len, mesh)) * spec.num_layers
     total = compute + comm
-    token_bytes = seq_len * cost.bytes_per_token(spec)
+    token_bytes = seq_len * _bytes_per_token(spec)
     per_device_mem = (
-        cost.total_weight_bytes(spec) / world
-        + token_bytes * (cost.input_resident_factor + cost.working_factor) / world
+        _total_weight_bytes(spec) / world
+        + token_bytes * (_INPUT_RESIDENT_FACTOR + _WORKING_FACTOR) / world
     )
     return ScheduleReport(
         mode="sp",
@@ -381,28 +399,26 @@ def sp_inference_report(mesh: DeviceMesh, spec: AttentionSpec, seq_len: int,
     )
 
 
-def pipeline_max_seq(topology: Topology, spec: AttentionSpec, stages: int,
-                     cost: perf.PerfCost = perf.DEFAULT_COST) -> int:
+def pipeline_max_seq(topology: Topology, spec: AttentionSpec, stages: int) -> int:
     """Longest sequence the pipeline's first device can hold."""
     first_weights = (spec.num_layers // stages) / spec.num_layers \
-        * cost.total_weight_bytes(spec)
-    budget = cost.device_memory_bytes - first_weights
+        * _total_weight_bytes(spec)
+    budget = perf.DEVICE_MEMORY_BYTES - first_weights
     if budget <= 0:
         return 0
-    per_token = cost.bytes_per_token(spec) * (
-        cost.input_resident_factor + cost.working_factor
+    per_token = _bytes_per_token(spec) * (
+        _INPUT_RESIDENT_FACTOR + _WORKING_FACTOR
     )
     return int(budget / per_token)
 
 
-def sp_max_seq(mesh: DeviceMesh, spec: AttentionSpec,
-               cost: perf.PerfCost = perf.DEFAULT_COST) -> int:
+def sp_max_seq(mesh: DeviceMesh, spec: AttentionSpec) -> int:
     """Longest sequence when activations are spread evenly across devices."""
     world = mesh.world_size
-    budget = cost.device_memory_bytes - cost.total_weight_bytes(spec) / world
+    budget = perf.DEVICE_MEMORY_BYTES - _total_weight_bytes(spec) / world
     if budget <= 0:
         return 0
-    per_token = cost.bytes_per_token(spec) * (
-        cost.input_resident_factor + cost.working_factor
+    per_token = _bytes_per_token(spec) * (
+        _INPUT_RESIDENT_FACTOR + _WORKING_FACTOR
     ) / world
     return int(budget / per_token)

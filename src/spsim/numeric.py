@@ -62,9 +62,6 @@ class AttentionSpec:
         """Query heads sharing one KV head (contiguous grouping)."""
         return self.num_q_heads // self.num_kv_heads
 
-    def kv_head_of(self, q_head: int) -> int:
-        return q_head // self.group_size
-
 
 @dataclass
 class AttentionState:

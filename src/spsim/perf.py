@@ -26,7 +26,6 @@ from .strategies import (
 )
 
 __all__ = [
-    "PerfCost",
     "overlap_penalty",
     "ModelProfile",
     "CalibrationRow",
@@ -53,53 +52,16 @@ COMPONENTS = ("encoder", "linears", "attention", "others")
 FLOAT_BYTES = 8  # simulator tensors are float64
 SCALAR_BYTES = 8  # wire size of a Python int, such as a decoded token id
 
+# Hardware and footprint constants of the cost model (inference reads the
+# device ones too); acceptance checks use only ratios and orderings.
+DEVICE_RATE = 989e12 * 0.45  # peak per-device FLOP/s times the achieved fraction
+BACKWARD_MULTIPLIER = 2.0  # fwd+bwd as a multiple of fwd
+ACTIVATION_TENSORS_PER_LAYER = 18.0
+ACTIVATION_BYTES = 2.0  # activations are half precision
+WEIGHT_BYTES_PER_PARAM = 2.0
+MEMORY_OVERHEAD_BYTES = 2e9
+DEVICE_MEMORY_BYTES = 80e9  # per-device budget of the max-length estimates
 
-@dataclass(frozen=True)
-class PerfCost:
-    """Hardware/cost knobs of the training and inference models.
-
-    Acceptance checks use only ratios and orderings.
-    """
-
-    device_flops: float = 989e12  # peak per-device rate
-    efficiency: float = 0.45  # achieved fraction of peak
-    backward_multiplier: float = 2.0  # fwd+bwd as a multiple of fwd
-    activation_tensors_per_layer: float = 18.0
-    activation_bytes: float = 2.0  # activations are half precision
-    weight_bytes_per_param: float = 2.0
-    memory_overhead_bytes: float = 2e9
-    device_memory_bytes: float = 80e9  # per-device budget of the max-length estimates
-    linear_params_factor: float = 12.0  # inference: per-layer linear params / hidden^2
-    input_resident_factor: float = 100.0  # inference: embeddings + vision pinned on device 0
-    working_factor: float = 22.0  # inference: per-device working activations
-
-    @property
-    def device_rate(self) -> float:
-        return self.device_flops * self.efficiency
-
-    def activation_bytes_per_token(self, spec: AttentionSpec) -> float:
-        return (
-            spec.num_layers
-            * spec.hidden_size
-            * self.activation_tensors_per_layer
-            * self.activation_bytes
-        )
-
-    def layer_forward_flops(self, spec: AttentionSpec, seq_len: int) -> float:
-        hidden = spec.hidden_size
-        linear = 2.0 * self.linear_params_factor * hidden * hidden * seq_len
-        attention = 2.0 * seq_len * seq_len * hidden
-        return linear + attention
-
-    def total_weight_bytes(self, spec: AttentionSpec) -> float:
-        params = spec.num_layers * self.linear_params_factor * spec.hidden_size**2
-        return params * self.weight_bytes_per_param
-
-    def bytes_per_token(self, spec: AttentionSpec) -> float:
-        return spec.hidden_size * self.activation_bytes
-
-
-DEFAULT_COST = PerfCost()
 
 # Measured attention-kernel slowdown when communication overlap competes for
 # SM resources, keyed by per-rank token count (forward pass).
@@ -404,7 +366,7 @@ def per_rank_comm_seconds(config: StrategyConfig, spec: AttentionSpec, seq_len: 
 # ---------------------------------------------------------------------------
 
 def iteration_time(config: StrategyConfig, profile: ModelProfile, topology: Topology,
-                   seq_len: int, num_frames: int = 0, cost: PerfCost = DEFAULT_COST) -> float:
+                   seq_len: int, num_frames: int = 0) -> float:
     """Modeled seconds per training iteration (forward+backward).
 
     Ring strategies hide KV transfers under the attention kernel at the
@@ -422,13 +384,13 @@ def iteration_time(config: StrategyConfig, profile: ModelProfile, topology: Topo
     fwd_total = flops["linears"] + flops["attention"] + flops["others"]
     if num_frames > 0:
         fwd_total += flops["encoder"]
-    compute = fwd_total / sp / cost.device_rate * cost.backward_multiplier
+    compute = fwd_total / sp / DEVICE_RATE * BACKWARD_MULTIPLIER
 
     comm_fwd = per_rank_comm_seconds(config, profile.spec, seq_len, mesh)
     times = []
     per_rank_tokens = padded_length(plan_kind(config.kind), sp, seq_len) / sp
     for rank_comm in comm_fwd[: sp]:
-        comm = rank_comm * cost.backward_multiplier
+        comm = rank_comm * BACKWARD_MULTIPLIER
         if config.kind in RING_KINDS:
             penalized = compute * (1.0 + overlap_penalty(per_rank_tokens))
             times.append(max(penalized, comm))
@@ -438,7 +400,7 @@ def iteration_time(config: StrategyConfig, profile: ModelProfile, topology: Topo
 
 
 def megatron_baseline_time(profile: ModelProfile, topology: Topology, seq_len: int,
-                           hybrid: bool = False, cost: PerfCost = DEFAULT_COST) -> float:
+                           hybrid: bool = False) -> float:
     """Ring-with-extra-allreduce baseline curve, for ordering comparisons only.
 
     Plain context parallelism is a non-overlapping zigzag ring plus per-layer
@@ -454,7 +416,7 @@ def megatron_baseline_time(profile: ModelProfile, topology: Topology, seq_len: i
         cp = max(1, world // tp)
     else:
         tp, cp = 1, world
-    compute = fwd_total / (tp * cp) / cost.device_rate * cost.backward_multiplier
+    compute = fwd_total / (tp * cp) / DEVICE_RATE * BACKWARD_MULTIPLIER
     # CP ring: KV shards (split across TP heads) hop cp-1 times over slow links
     ring_link = "inter" if cp > 1 and topology.num_nodes > 1 else "intra"
     kv_bytes = 2 * (spec.num_kv_heads / tp) * (seq_len / cp) * spec.head_dim * FLOAT_BYTES
@@ -464,15 +426,22 @@ def megatron_baseline_time(profile: ModelProfile, topology: Topology, seq_len: i
     if tp > 1:
         ar_bytes = 2 * (tp - 1) / tp * (seq_len / cp) * spec.hidden_size * FLOAT_BYTES
         ar_seconds = 2 * spec.num_layers * comm_time(ar_bytes, "intra", topology)
-    return compute + (ring_seconds + ar_seconds) * cost.backward_multiplier
+    return compute + (ring_seconds + ar_seconds) * BACKWARD_MULTIPLIER
+
+
+def activation_bytes_per_token(spec: AttentionSpec) -> float:
+    """Bytes of saved activations per token, over all layers."""
+    return (
+        spec.num_layers * spec.hidden_size * ACTIVATION_TENSORS_PER_LAYER * ACTIVATION_BYTES
+    )
 
 
 def peak_memory_per_rank(profile: ModelProfile, world_size: int, sp_degree: int,
-                         seq_len: int, cost: PerfCost = DEFAULT_COST) -> float:
+                         seq_len: int) -> float:
     """Weights share (fully sharded) plus this rank's activation slice."""
-    weights = profile.total_params * cost.weight_bytes_per_param / world_size
-    activations = seq_len / sp_degree * cost.activation_bytes_per_token(profile.spec)
-    return weights + activations + cost.memory_overhead_bytes
+    weights = profile.total_params * WEIGHT_BYTES_PER_PARAM / world_size
+    activations = seq_len / sp_degree * activation_bytes_per_token(profile.spec)
+    return weights + activations + MEMORY_OVERHEAD_BYTES
 
 
 def _sp_cap(config: StrategyConfig | str, spec: AttentionSpec) -> int | None:
@@ -485,8 +454,7 @@ def _sp_cap(config: StrategyConfig | str, spec: AttentionSpec) -> int | None:
     return None  # ring and 2D scale with the world
 
 
-def max_context(config: StrategyConfig | str, profile: ModelProfile, world_size: int,
-                cost: PerfCost = DEFAULT_COST) -> int:
+def max_context(config: StrategyConfig | str, profile: ModelProfile, world_size: int) -> int:
     """Largest context whose per-rank memory fits the per-device budget.
 
     Ulysses is capped at its head-count degree; plain data parallelism never
@@ -496,17 +464,16 @@ def max_context(config: StrategyConfig | str, profile: ModelProfile, world_size:
         raise ValueError("world_size must be >= 1")
     cap = _sp_cap(config, profile.spec)
     sp = world_size if cap is None else min(world_size, cap)
-    weights = profile.total_params * cost.weight_bytes_per_param / world_size
-    budget = cost.device_memory_bytes - weights - cost.memory_overhead_bytes
+    weights = profile.total_params * WEIGHT_BYTES_PER_PARAM / world_size
+    budget = DEVICE_MEMORY_BYTES - weights - MEMORY_OVERHEAD_BYTES
     if budget <= 0:
         return 0
-    per_token = cost.activation_bytes_per_token(profile.spec)
+    per_token = activation_bytes_per_token(profile.spec)
     tokens = int(sp * budget / per_token)
     return tokens - tokens % plan_granule("zigzag", sp)  # largest padded length that fits
 
 
 def two_stage_gain(samples, sp_degree: int, profile: ModelProfile,
-                   cost: PerfCost = DEFAULT_COST,
                    tokens_per_frame: int | None = None) -> tuple[float, float]:
     """Modeled iteration seconds under one-stage vs two-stage sharding.
 
@@ -535,12 +502,12 @@ def two_stage_gain(samples, sp_degree: int, profile: ModelProfile,
         linear = c["c_linear"] * profile.linear_params * tokens
         other = c["c_other"] * profile.other_params * tokens
         attn = c["c_attention"] * spec.num_layers * tokens * total_tokens * spec.hidden_size
-        return (linear + other + attn) / cost.device_rate * cost.backward_multiplier
+        return (linear + other + attn) / DEVICE_RATE * BACKWARD_MULTIPLIER
 
     def encoder_seconds(n_frames: float) -> float:
         return (
             c["c_encoder"] * profile.encoder_params * n_frames * tpf
-            / cost.device_rate * cost.backward_multiplier
+            / DEVICE_RATE * BACKWARD_MULTIPLIER
         )
 
     # one-stage: vision tokens follow the frame split, text stays home
@@ -570,8 +537,7 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def plan(topology: Topology, profile: ModelProfile, seq_len: int,
-         cost: PerfCost = DEFAULT_COST) -> StrategyConfig:
+def plan(topology: Topology, profile: ModelProfile, seq_len: int) -> StrategyConfig:
     """Pick the fastest valid strategy for this topology and sequence length.
 
     Enumerates every (a2a, p2p) factorization of the world (the degenerate
@@ -586,7 +552,7 @@ def plan(topology: Topology, profile: ModelProfile, seq_len: int,
         except StrategyConfigError:
             continue
     scored = [
-        (iteration_time(cfg, profile, topology, seq_len, cost=cost),
+        (iteration_time(cfg, profile, topology, seq_len),
          -cfg.a2a_degree, cfg.p2p_degree, cfg)
         for cfg in candidates
     ]

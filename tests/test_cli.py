@@ -96,6 +96,16 @@ class TestConfigHandling:
         assert "workload.seq_len:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "plan"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_is_refused(self, tmp_path, capsys, command, target):
+        out = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+        cfg = write_config(tmp_path, {**SMALL_SCENARIO, "out": str(out)})
+        assert run_cli(command, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out: cannot write {out}: ")
+        assert "Traceback" not in err
+
     def test_executed_length_limit_boundary(self, tmp_path):
         # 8b: 32 heads x 2048 x 2048 x 8 bytes is exactly the 1 GiB limit.
         cfg = write_config(tmp_path, {"topology": {"nodes": 1, "gpus_per_node": 2},

