@@ -300,6 +300,7 @@ PINNED_SCENARIOS = {
     "default": {},
     "1x4-frames-samples": {"topology": {"nodes": 1, "gpus_per_node": 4},
                            "workload": {"frames": 8}},
+    "2x6": {"topology": {"nodes": 2, "gpus_per_node": 6}},
 }
 PINNED_OUTPUT_SHA256 = {
     ("1x4-frames-samples", "plan"):
@@ -309,6 +310,14 @@ PINNED_OUTPUT_SHA256 = {
     ("1x4-frames-samples", "simulate"):
         "f44275ec5bffc80316e77c4e6afbe7e3a4b73312ba18c3d2fdd9bd5a3ad8f945",
     ("1x4-frames-samples", "profile"):
+        "d720bc373ba9b8261e270db3e820ef55a5b816390dd60e3762feed2bf504cf1f",
+    ("2x6", "plan"):
+        "0e3fa384acae770bee68135b2368a64b24299510fbd0d9fd413b93d183806664",
+    ("2x6", "infer"):
+        "a47db51aa06b2b895e0cfb31e834c286f4151d8db5d13ddcf06bfaf818ad5e4d",
+    ("2x6", "simulate"):
+        "617d854ad51dd582baead9abbf12b112e39c0961aca46967667c0189d8a2721e",
+    ("2x6", "profile"):
         "d720bc373ba9b8261e270db3e820ef55a5b816390dd60e3762feed2bf504cf1f",
     ("default", "plan"):
         "87562a1f006ee446732a62acb29c6abff39f02ce35f662e30597ff4575da684d",

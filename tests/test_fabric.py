@@ -91,6 +91,30 @@ class TestBuildMesh:
         with pytest.warns(MeshPlacementWarning):
             build_mesh(two_node_topology(), a2a_degree=8, p2p_degree=1)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), nodes=st.integers(1, 6), gpus=st.integers(1, 12))
+    def test_groups_partition_each_sp_block(self, data, nodes, gpus):
+        world = nodes * gpus
+        sp = data.draw(st.sampled_from([d for d in range(1, world + 1) if world % d == 0]))
+        a2a = data.draw(st.sampled_from([d for d in range(1, sp + 1) if sp % d == 0]))
+        p2p = sp // a2a
+        mesh = build_mesh(Topology(num_nodes=nodes, gpus_per_node=gpus), a2a, p2p)
+        for rank in range(world):
+            a2a_group = mesh.a2a_group_of(rank)
+            p2p_group = mesh.p2p_group_of(rank)
+            assert set(a2a_group) & set(p2p_group) == {rank}
+            block = range(rank - rank % sp, rank - rank % sp + sp)
+            assert set(a2a_group) <= set(block) and set(p2p_group) <= set(block)
+            assert a2a_group == tuple(range(a2a_group[0], a2a_group[0] + a2a))
+            assert p2p_group == tuple(range(p2p_group[0], p2p_group[0] + sp, a2a))
+            # Reference: the rank's a2a and p2p indices within its SP block.
+            sp_base = rank - rank % sp
+            a2a_index, p2p_index = (rank % sp) % a2a, (rank % sp) // a2a
+            base = sp_base + p2p_index * a2a
+            assert a2a_group == tuple(range(base, base + a2a))
+            base = sp_base + a2a_index
+            assert p2p_group == tuple(base + i * a2a for i in range(p2p))
+
 
 class TestRunProgram:
     def test_ring_rotation_delivers_left_neighbor_value(self):
