@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -297,52 +296,50 @@ def cmd_verify(scenario: Scenario) -> int:
     configs = verification_strategies(scenario)
     rows_of = [[] for _ in configs]  # per strategy, so the CSV stays config-major
     failures = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        meshes = [build_mesh(scenario.topology, cfg.a2a_degree, cfg.p2p_degree)
-                  for cfg in configs]
-        predicted = [perf.comm_volume(cfg, spec, length, mesh)
-                     for cfg, mesh in zip(configs, meshes)]
-        messages = [Counter(perf.strategy_messages(cfg, spec, length, mesh))
-                    for cfg, mesh in zip(configs, meshes)]
-        fault_index = scenario.inject_fault_message
-        if fault_index is not None and fault_index >= messages[0].total():
-            raise ConfigError(
-                f"inject_fault_message: index {fault_index} is out of range: strategy "
-                f"{configs[0].kind} (a2a {configs[0].a2a_degree}, p2p "
-                f"{configs[0].p2p_degree}) sends {messages[0].total()} messages per run"
-            )
-        for seed_index in range(VERIFY_SEEDS):
-            rng = np.random.default_rng([scenario.seed, seed_index])
-            q = rng.standard_normal((spec.num_q_heads, length, spec.head_dim))
-            k = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
-            v = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
-            oracle = reference_attention(q, k, v, spec)
-            for index, (cfg, mesh) in enumerate(zip(configs, meshes)):
-                fault = None
-                if fault_index is not None and index == 0:
-                    fault = FaultInjection(fault_index)
-                run = execute_strategy(mesh, cfg, spec, q, k, v, fault=fault)
-                log = run.log
-                diff = run.gathered()
-                del run  # its per-rank outputs die before the next run executes
-                diff -= oracle
-                diff = float(np.max(np.abs(diff, out=diff)))
-                ok = diff < ORACLE_TOLERANCE
-                detail = ""
-                if log.tampered:
-                    src, _dst, step, _idx = log.tampered[0]
-                    detail = f"tampered message from rank {src} at step {step}"
-                rows_of[index].append((
-                    "oracle", cfg.kind, cfg.a2a_degree, cfg.p2p_degree,
-                    seed_index, "pass" if ok else "FAIL", diff, detail))
-                failures += 0 if ok else 1
+    meshes = [build_mesh(scenario.topology, cfg.a2a_degree, cfg.p2p_degree)
+              for cfg in configs]
+    predicted = [perf.comm_volume(cfg, spec, length, mesh)
+                 for cfg, mesh in zip(configs, meshes)]
+    messages = [Counter(perf.strategy_messages(cfg, spec, length, mesh))
+                for cfg, mesh in zip(configs, meshes)]
+    fault_index = scenario.inject_fault_message
+    if fault_index is not None and fault_index >= messages[0].total():
+        raise ConfigError(
+            f"inject_fault_message: index {fault_index} is out of range: strategy "
+            f"{configs[0].kind} (a2a {configs[0].a2a_degree}, p2p "
+            f"{configs[0].p2p_degree}) sends {messages[0].total()} messages per run"
+        )
+    for seed_index in range(VERIFY_SEEDS):
+        rng = np.random.default_rng([scenario.seed, seed_index])
+        q = rng.standard_normal((spec.num_q_heads, length, spec.head_dim))
+        k = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
+        v = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
+        oracle = reference_attention(q, k, v, spec)
+        for index, (cfg, mesh) in enumerate(zip(configs, meshes)):
+            fault = None
+            if fault_index is not None and index == 0:
+                fault = FaultInjection(fault_index)
+            run = execute_strategy(mesh, cfg, spec, q, k, v, fault=fault)
+            log = run.log
+            diff = run.gathered()
+            del run  # its per-rank outputs die before the next run executes
+            diff -= oracle
+            diff = float(np.max(np.abs(diff, out=diff)))
+            ok = diff < ORACLE_TOLERANCE
+            detail = ""
+            if log.tampered:
+                src, _dst, step, _idx = log.tampered[0]
+                detail = f"tampered message from rank {src} at step {step}"
+            rows_of[index].append((
+                "oracle", cfg.kind, cfg.a2a_degree, cfg.p2p_degree,
+                seed_index, "pass" if ok else "FAIL", diff, detail))
+            failures += 0 if ok else 1
 
-                bytes_ok = comm_model_ok(predicted[index], messages[index], log)
-                rows_of[index].append((
-                    "comm_model", cfg.kind, cfg.a2a_degree, cfg.p2p_degree,
-                    seed_index, "pass" if bytes_ok else "FAIL", 0.0, ""))
-                failures += 0 if bytes_ok else 1
+            bytes_ok = comm_model_ok(predicted[index], messages[index], log)
+            rows_of[index].append((
+                "comm_model", cfg.kind, cfg.a2a_degree, cfg.p2p_degree,
+                seed_index, "pass" if bytes_ok else "FAIL", 0.0, ""))
+            failures += 0 if bytes_ok else 1
     rows = [row for config_rows in rows_of for row in config_rows]
     header = ("check", "strategy", "a2a", "p2p", "seed", "status", "max_abs_diff",
               "detail")
@@ -374,21 +371,19 @@ def cmd_simulate(scenario: Scenario) -> int:
     sweep = [per_device * world for per_device in
              (1024, 2048, 3072, 4096, 5120, 6144, 7168, 8192, 9216, 10240)]
     rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for cfg in verification_strategies(scenario):
-            mesh = build_mesh(topology, cfg.a2a_degree, cfg.p2p_degree)
-            for seq in sweep:
-                volume = perf.comm_volume(cfg, profile.spec, seq, mesh)
-                rows.append((
-                    cfg.kind,
-                    seq,
-                    perf.iteration_time(cfg, profile, topology, seq,
-                                        num_frames=scenario.frames),
-                    perf.volume_total(volume, link="inter"),
-                    perf.volume_total(volume, link="intra"),
-                    perf.peak_memory_per_rank(profile, world, cfg.sp_degree, seq),
-                ))
+    for cfg in verification_strategies(scenario):
+        mesh = build_mesh(topology, cfg.a2a_degree, cfg.p2p_degree)
+        for seq in sweep:
+            volume = perf.comm_volume(cfg, profile.spec, seq, mesh)
+            rows.append((
+                cfg.kind,
+                seq,
+                perf.iteration_time(cfg, profile, topology, seq,
+                                    num_frames=scenario.frames),
+                perf.volume_total(volume, link="inter"),
+                perf.volume_total(volume, link="intra"),
+                perf.peak_memory_per_rank(profile, world, cfg.sp_degree, seq),
+            ))
     header = ("strategy", "seq_len", "est_iter_s", "inter_node_bytes",
               "intra_node_bytes", "peak_mem")
     emit_csv(scenario.out, header, rows, scenario.seed)
@@ -399,11 +394,9 @@ def cmd_simulate(scenario: Scenario) -> int:
     q = rng.standard_normal((spec.num_q_heads, length, spec.head_dim))
     k = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
     v = rng.standard_normal((spec.num_kv_heads, length, spec.head_dim))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        mesh = build_mesh(topology, scenario.strategy.a2a_degree,
-                          scenario.strategy.p2p_degree)
-        run = execute_strategy(mesh, scenario.strategy, spec, q, k, v)
+    mesh = build_mesh(topology, scenario.strategy.a2a_degree,
+                      scenario.strategy.p2p_degree)
+    run = execute_strategy(mesh, scenario.strategy, spec, q, k, v)
     log_rows = run.log.to_rows()
     emit_csv(_sidecar(scenario.out, "commlog.csv"),
              ("step", "kind", "src", "dst", "bytes", "link"), log_rows, scenario.seed)
@@ -474,12 +467,10 @@ def cmd_infer(scenario: Scenario) -> int:
     topology = scenario.topology
     seq = scenario.seq_len or 98304
     stages = topology.world_size
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        mesh = build_mesh(topology, scenario.strategy.a2a_degree,
-                          scenario.strategy.p2p_degree)
-        pipe = pipeline_baseline(topology, spec, seq, stages)
-        sp = sp_inference_report(mesh, spec, seq)
+    mesh = build_mesh(topology, scenario.strategy.a2a_degree,
+                      scenario.strategy.p2p_degree)
+    pipe = pipeline_baseline(topology, spec, seq, stages)
+    sp = sp_inference_report(mesh, spec, seq)
     rows = list(pipe.rows()) + list(sp.rows())
     header = ("mode", "device", "busy_s", "idle_s", "peak_mem_bytes")
     emit_csv(scenario.out, header, rows, scenario.seed)

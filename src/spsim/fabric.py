@@ -25,7 +25,6 @@ same program.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,7 +40,6 @@ __all__ = [
     "FabricError",
     "DeadlockError",
     "CollectiveMismatchError",
-    "MeshPlacementWarning",
     "build_mesh",
     "run_program",
     "comm_time",
@@ -69,10 +67,6 @@ class DeadlockError(FabricError):
 
 
 class CollectiveMismatchError(DeadlockError):
-    pass
-
-
-class MeshPlacementWarning(UserWarning):
     pass
 
 
@@ -196,30 +190,21 @@ class DeviceMesh:
     def world_size(self) -> int:
         return self.topology.world_size
 
-    def _sp_base(self, rank: int) -> int:
-        return rank - rank % self.sp_degree
-
-    def a2a_index(self, rank: int) -> int:
-        return (rank % self.sp_degree) % self.a2a_degree
-
-    def p2p_index(self, rank: int) -> int:
-        return (rank % self.sp_degree) // self.a2a_degree
-
     def a2a_group_of(self, rank: int) -> tuple[int, ...]:
-        base = self._sp_base(rank) + self.p2p_index(rank) * self.a2a_degree
+        base = rank - rank % self.a2a_degree
         return tuple(range(base, base + self.a2a_degree))
 
     def p2p_group_of(self, rank: int) -> tuple[int, ...]:
-        base = self._sp_base(rank) + self.a2a_index(rank)
-        return tuple(base + i * self.a2a_degree for i in range(self.p2p_degree))
+        base = rank - rank % self.sp_degree + rank % self.a2a_degree
+        return tuple(range(base, base + self.sp_degree, self.a2a_degree))
 
 
 def build_mesh(topology: Topology, a2a_degree: int = 1, p2p_degree: int = 1) -> DeviceMesh:
     """Build the communication mesh, packing all-to-all groups intra-node.
 
     Raises if the sequence-parallel degree does not divide the world size.
-    Emits a MeshPlacementWarning when any all-to-all group spans nodes
-    (legal, but its messages will cross slow links).
+    An all-to-all group that spans nodes is legal and sends over the
+    inter-node links.
     """
     if a2a_degree < 1 or p2p_degree < 1:
         raise ValueError("mesh degrees must be >= 1")
@@ -230,18 +215,7 @@ def build_mesh(topology: Topology, a2a_degree: int = 1, p2p_degree: int = 1) -> 
             f"sequence-parallel degree {sp} (= {a2a_degree} x {p2p_degree}) "
             f"does not divide world size {world}"
         )
-    mesh = DeviceMesh(topology=topology, a2a_degree=a2a_degree, p2p_degree=p2p_degree)
-    for first in range(0, world, a2a_degree):  # a group is a contiguous rank span
-        if topology.node_of(first) != topology.node_of(first + a2a_degree - 1):
-            warnings.warn(
-                f"all-to-all group {mesh.a2a_group_of(first)} spans nodes "
-                f"(a2a_degree={a2a_degree}, gpus_per_node={topology.gpus_per_node}); "
-                "its traffic will use inter-node links",
-                MeshPlacementWarning,
-                stacklevel=2,
-            )
-            break
-    return mesh
+    return DeviceMesh(topology=topology, a2a_degree=a2a_degree, p2p_degree=p2p_degree)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ absolute wall-clock claims.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 from .fabric import DeviceMesh, Topology, build_mesh, comm_time
@@ -379,7 +378,7 @@ def iteration_time(config: StrategyConfig, profile: ModelProfile, topology: Topo
         raise ValueError("iteration_time requires a calibrated profile")
     config.validate_heads(profile.spec)
     sp = config.sp_degree
-    mesh = _quiet_mesh(topology, config)
+    mesh = build_mesh(topology, config.a2a_degree, config.p2p_degree)
     flops = flops_profile(profile, num_frames, seq_len)
     fwd_total = flops["linears"] + flops["attention"] + flops["others"]
     if num_frames > 0:
@@ -525,12 +524,6 @@ def two_stage_gain(samples, sp_degree: int, profile: ModelProfile,
         encoder_seconds(f) + llm_seconds(t) for f, t in zip(frames_per_rank, two_tokens)
     )
     return one_stage, two_stage
-
-
-def _quiet_mesh(topology: Topology, config: StrategyConfig) -> DeviceMesh:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_mesh(topology, config.a2a_degree, config.p2p_degree)
 
 
 def _divisors(n: int) -> list[int]:

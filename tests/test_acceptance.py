@@ -7,7 +7,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from spsim.cli import main as cli_main
 from spsim.fabric import Topology, build_mesh
@@ -78,7 +77,6 @@ def _valid_configs(rng, spec, sp):
     return configs
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_criterion_1_oracle_equivalence_property():
     """>= 200 randomized configs: every strategy within 1e-10 of the oracle."""
     start = time.monotonic()
@@ -143,7 +141,6 @@ def test_criterion_3_load_balance_exact():
                "exact for P in {2,4,8}")
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_criterion_4_comm_model_exactness_and_inter_node_dominance():
     """Analytic comm_volume equals executed CommLog bytes exactly."""
     rng = np.random.default_rng(7)

@@ -15,7 +15,6 @@ from spsim.fabric import (
     DeadlockError,
     FabricError,
     FaultInjection,
-    MeshPlacementWarning,
     Topology,
     build_mesh,
     comm_time,
@@ -86,10 +85,6 @@ class TestBuildMesh:
     def test_rejects_non_dividing_degree(self):
         with pytest.raises(ValueError, match="divide"):
             build_mesh(two_node_topology(), a2a_degree=3, p2p_degree=1)
-
-    def test_warns_when_a2a_crosses_nodes(self):
-        with pytest.warns(MeshPlacementWarning):
-            build_mesh(two_node_topology(), a2a_degree=8, p2p_degree=1)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data(), nodes=st.integers(1, 6), gpus=st.integers(1, 12))
@@ -466,7 +461,6 @@ def _delivery_order_runs():
 
 
 class TestDeliveryOrder:
-    @pytest.mark.filterwarnings("ignore::spsim.fabric.MeshPlacementWarning")
     def test_comm_logs_match_the_pinned_digest(self):
         digest = hashlib.sha256()
         for log in _delivery_order_runs():

@@ -119,7 +119,6 @@ class TestCalibration:
             model_profile("13b")
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 class TestCommVolume:
     SPEC = AttentionSpec(num_q_heads=8, num_kv_heads=4, head_dim=16)
 
@@ -203,7 +202,6 @@ def _prefill(config, spec, world):
     return mesh, plan, sp_prefill(mesh, encoded, plan, model, config.kv_replication)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 class TestInferenceMessages:
     SPEC = AttentionSpec(num_q_heads=8, num_kv_heads=2, head_dim=4, num_layers=2)
 

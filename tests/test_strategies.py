@@ -229,7 +229,6 @@ class TestAttention2D:
 
 
 class TestCrossStrategyEquivalence:
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("seed", range(5))
     def test_all_strategies_agree(self, seed):
         rng = np.random.default_rng(300 + seed)
@@ -307,7 +306,6 @@ class TestPlanForStrategy:
         assert plan_for_strategy(StrategyConfig("zigzag_ring", p2p_degree=4), 32).kind == "zigzag"
         assert plan_for_strategy(StrategyConfig("two_d", a2a_degree=2, p2p_degree=2), 32).kind == "zigzag"
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("mesh,config,spec", [
         pytest.param(sp_mesh(4), StrategyConfig("zigzag_ring", p2p_degree=2), SPEC,
                      id="sp2-on-sp4"),
