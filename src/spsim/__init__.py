@@ -28,10 +28,9 @@ from .sharding import (  # noqa: F401
     EncodedSequence,
     MultimodalSequence,
     ShardPlan,
-    contiguous_shard,
     distribute_images,
     globalize_and_pad,
-    zigzag_shard,
+    shard_plan,
 )
 from .strategies import (  # noqa: F401
     StrategyConfig,

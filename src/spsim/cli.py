@@ -382,7 +382,7 @@ def cmd_simulate(scenario: Scenario) -> int:
                                     num_frames=scenario.frames),
                 perf.volume_total(volume, link="inter"),
                 perf.volume_total(volume, link="intra"),
-                perf.peak_memory_per_rank(profile, world, cfg.sp_degree, seq),
+                perf.peak_memory_per_rank(profile, world, seq),
             ))
     header = ("strategy", "seq_len", "est_iter_s", "inter_node_bytes",
               "intra_node_bytes", "peak_mem")

@@ -173,49 +173,51 @@ def payload_nbytes(payload) -> int:
 class DeviceMesh:
     """World of ranks arranged as (all-to-all groups x ring groups).
 
-    Within each sequence-parallel block of ``a2a_degree * p2p_degree`` ranks,
-    all-to-all groups are contiguous rank spans (packed intra-node first) and
-    ring groups connect corresponding members across the spans.
+    The two degrees factor the world: all-to-all groups are contiguous rank
+    spans of ``a2a_degree`` ranks (packed intra-node first) and ring groups
+    connect corresponding members across the spans, so the ring degree is
+    the world divided by ``a2a_degree``.
     """
 
     topology: Topology
     a2a_degree: int = 1
-    p2p_degree: int = 1
 
-    @property
-    def sp_degree(self) -> int:
-        return self.a2a_degree * self.p2p_degree
+    def __post_init__(self) -> None:
+        if self.a2a_degree < 1 or self.world_size % self.a2a_degree != 0:
+            raise ValueError(
+                f"a2a degree {self.a2a_degree} does not divide world size {self.world_size}"
+            )
 
     @property
     def world_size(self) -> int:
         return self.topology.world_size
+
+    @property
+    def p2p_degree(self) -> int:
+        return self.world_size // self.a2a_degree
 
     def a2a_group_of(self, rank: int) -> tuple[int, ...]:
         base = rank - rank % self.a2a_degree
         return tuple(range(base, base + self.a2a_degree))
 
     def p2p_group_of(self, rank: int) -> tuple[int, ...]:
-        base = rank - rank % self.sp_degree + rank % self.a2a_degree
-        return tuple(range(base, base + self.sp_degree, self.a2a_degree))
+        return tuple(range(rank % self.a2a_degree, self.world_size, self.a2a_degree))
 
 
-def build_mesh(topology: Topology, a2a_degree: int = 1, p2p_degree: int = 1) -> DeviceMesh:
+def build_mesh(topology: Topology, a2a_degree: int = 1, p2p_degree: int = 0) -> DeviceMesh:
     """Build the communication mesh, packing all-to-all groups intra-node.
 
-    Raises if the sequence-parallel degree does not divide the world size.
-    An all-to-all group that spans nodes is legal and sends over the
-    inter-node links.
+    The degrees must factor the world size; ``p2p_degree`` left at 0 is the
+    world divided by ``a2a_degree``.  An all-to-all group that spans nodes
+    is legal and sends over the inter-node links.
     """
-    if a2a_degree < 1 or p2p_degree < 1:
-        raise ValueError("mesh degrees must be >= 1")
-    sp = a2a_degree * p2p_degree
-    world = topology.world_size
-    if sp > world or world % sp != 0:
+    mesh = DeviceMesh(topology=topology, a2a_degree=a2a_degree)
+    if p2p_degree and p2p_degree != mesh.p2p_degree:
         raise ValueError(
-            f"sequence-parallel degree {sp} (= {a2a_degree} x {p2p_degree}) "
-            f"does not divide world size {world}"
+            f"a2a {a2a_degree} x p2p {p2p_degree} = {a2a_degree * p2p_degree} "
+            f"does not match world size {mesh.world_size}"
         )
-    return DeviceMesh(topology=topology, a2a_degree=a2a_degree, p2p_degree=p2p_degree)
+    return mesh
 
 
 @dataclass(frozen=True)

@@ -382,7 +382,7 @@ def sp_inference_report(mesh: DeviceMesh, spec: AttentionSpec, seq_len: int) -> 
     world = mesh.world_size
     compute = spec.num_layers * _layer_forward_flops(spec, seq_len) \
         / perf.DEVICE_RATE / world
-    config = resolve_strategy(spec, mesh.sp_degree, a2a=mesh.a2a_degree, p2p=mesh.p2p_degree)
+    config = resolve_strategy(spec, world, a2a=mesh.a2a_degree)
     comm = max(perf.per_rank_comm_seconds(config, spec, seq_len, mesh)) * spec.num_layers
     total = compute + comm
     token_bytes = seq_len * _bytes_per_token(spec)

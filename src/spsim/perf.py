@@ -248,7 +248,10 @@ def strategy_messages(config: StrategyConfig, spec: AttentionSpec, seq_len: int,
 
     This enumerates exactly the messages the executed strategy issues on the
     same shapes, which is what makes the analytic byte counts checkable
-    against the CommLog without tolerance.
+    against the CommLog without tolerance.  The mesh spans the world, so
+    the config must factor it too.  Messages come source-major: each rank's
+    a2a sends out, its ring hops to ``(src + a2a) % world``, then its a2a
+    sends back; the executed log interleaves the ranks in another order.
     """
     if (mesh.a2a_degree, mesh.p2p_degree) != (config.a2a_degree, config.p2p_degree):
         raise ValueError(
@@ -268,26 +271,15 @@ def strategy_messages(config: StrategyConfig, spec: AttentionSpec, seq_len: int,
 
     # One 2D pattern for every kind: the rings are its a2a=1 factor (no
     # exchange) and ulysses its p2p=1 factor (no ring), as in execution.
-    for base in range(0, mesh.world_size, sp):
-        a2a_groups = [mesh.a2a_group_of(base + g * degree) for g in range(rounds)]
-        if degree > 1:
-            for group in a2a_groups:
-                for src in group:
-                    for dst in group:
-                        if src != dst:
-                            yield src, dst, q_part + 2 * kv_part, "a2a"
-        if rounds > 1:
-            for j in range(degree):
-                ring = mesh.p2p_group_of(base + j)
-                for _hop in range(rounds - 1):
-                    for i, src in enumerate(ring):
-                        yield src, ring[(i + 1) % rounds], seg_kv_bytes, "p2p"
-        if degree > 1:
-            for group in a2a_groups:
-                for src in group:
-                    for dst in group:
-                        if src != dst:
-                            yield src, dst, q_part, "a2a"
+    world = mesh.world_size
+    for src in range(world):
+        a2a_peers = [dst for dst in mesh.a2a_group_of(src) if dst != src]
+        for dst in a2a_peers:
+            yield src, dst, q_part + 2 * kv_part, "a2a"
+        for _hop in range(rounds - 1):
+            yield src, (src + degree) % world, seg_kv_bytes, "p2p"
+        for dst in a2a_peers:
+            yield src, dst, q_part, "a2a"
 
 
 def prefill_messages(config: StrategyConfig, spec: AttentionSpec, seq_len: int,
@@ -388,7 +380,7 @@ def iteration_time(config: StrategyConfig, profile: ModelProfile, topology: Topo
     comm_fwd = per_rank_comm_seconds(config, profile.spec, seq_len, mesh)
     times = []
     per_rank_tokens = padded_length(plan_kind(config.kind), sp, seq_len) / sp
-    for rank_comm in comm_fwd[: sp]:
+    for rank_comm in comm_fwd:
         comm = rank_comm * BACKWARD_MULTIPLIER
         if config.kind in RING_KINDS:
             penalized = compute * (1.0 + overlap_penalty(per_rank_tokens))
@@ -435,11 +427,10 @@ def activation_bytes_per_token(spec: AttentionSpec) -> float:
     )
 
 
-def peak_memory_per_rank(profile: ModelProfile, world_size: int, sp_degree: int,
-                         seq_len: int) -> float:
+def peak_memory_per_rank(profile: ModelProfile, world_size: int, seq_len: int) -> float:
     """Weights share (fully sharded) plus this rank's activation slice."""
     weights = profile.total_params * WEIGHT_BYTES_PER_PARAM / world_size
-    activations = seq_len / sp_degree * activation_bytes_per_token(profile.spec)
+    activations = seq_len / world_size * activation_bytes_per_token(profile.spec)
     return weights + activations + MEMORY_OVERHEAD_BYTES
 
 

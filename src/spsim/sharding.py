@@ -28,8 +28,6 @@ __all__ = [
     "plan_granule",
     "padded_length",
     "shard_plan",
-    "contiguous_shard",
-    "zigzag_shard",
     "distribute_images",
     "encode_images_stub",
     "text_embedding_stub",
@@ -229,17 +227,6 @@ def shard_plan(kind: str, padded_length: int, sp_degree: int,
     )
 
 
-def contiguous_shard(padded_length: int, sp_degree: int,
-                     original_length: int | None = None) -> ShardPlan:
-    return shard_plan("contiguous", padded_length, sp_degree, original_length)
-
-
-def zigzag_shard(padded_length: int, sp_degree: int,
-                 original_length: int | None = None) -> ShardPlan:
-    """Two-end balanced sharding: 2P chunks, rank i owns {i, 2P-1-i}."""
-    return shard_plan("zigzag", padded_length, sp_degree, original_length)
-
-
 # ---------------------------------------------------------------------------
 # Stage 1: frame distribution and the deterministic encoder stub
 # ---------------------------------------------------------------------------
@@ -327,7 +314,7 @@ def globalize_and_pad(pieces, mesh: DeviceMesh) -> tuple[EncodedSequence, ShardP
 
     Pieces are reassembled in (sample, element) order regardless of where
     they were encoded; dummy zero rows are appended at the end until the
-    length divides 2 x sp_degree, with loss_mask false on every dummy.
+    length divides 2 x the world size, with loss_mask false on every dummy.
     """
     ordered = sorted(pieces, key=lambda p: (p.sample_index, p.element_index))
     if not ordered:
@@ -338,7 +325,7 @@ def globalize_and_pad(pieces, mesh: DeviceMesh) -> tuple[EncodedSequence, ShardP
         [np.full(p.embeddings.shape[0], p.kind, dtype=np.uint8) for p in ordered]
     )
     original = rows.shape[0]
-    padded = padded_length("zigzag", mesh.sp_degree, original)
+    padded = padded_length("zigzag", mesh.world_size, original)
     if padded > original:
         rows = np.concatenate([rows, np.zeros((padded - original, hidden))], axis=0)
         kinds = np.concatenate(
@@ -351,7 +338,7 @@ def globalize_and_pad(pieces, mesh: DeviceMesh) -> tuple[EncodedSequence, ShardP
         loss_mask=kinds == KIND_TEXT,
         original_length=original,
     )
-    plan = zigzag_shard(padded, mesh.sp_degree, original_length=original)
+    plan = shard_plan("zigzag", padded, mesh.world_size, original_length=original)
     return encoded, plan
 
 

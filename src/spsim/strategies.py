@@ -327,14 +327,13 @@ def _run_attention(kind, mesh, plan, q_shards, k_shards, v_shards, spec,
     """Check the mesh, plan, heads and shards once, then run every rank."""
     if kind in RING_KINDS and mesh.a2a_degree != 1:
         raise ValueError(f"{kind} requires a mesh with a2a_degree == 1")
-    if kind == "ulysses" and (mesh.p2p_degree != 1 or mesh.a2a_degree != mesh.world_size):
-        raise ValueError("ulysses requires a mesh with p2p_degree == 1 spanning the world")
+    if kind == "ulysses" and mesh.p2p_degree != 1:
+        raise ValueError("ulysses requires a mesh with p2p_degree == 1")
     if plan.kind != plan_kind(kind):
         raise ValueError(_PLAN_KIND_ERRORS[kind].format(plan.kind))
-    if mesh.world_size != plan.sp_degree or mesh.sp_degree != plan.sp_degree:
+    if mesh.world_size != plan.sp_degree:
         raise ValueError(
-            f"mesh (world {mesh.world_size}, sp {mesh.sp_degree}) does not match "
-            f"plan sp_degree {plan.sp_degree}"
+            f"mesh (world {mesh.world_size}) does not match plan sp_degree {plan.sp_degree}"
         )
     effective_kv_heads(spec, mesh.a2a_degree, kv_replication)
     _check_shards(plan, q_shards, "q", spec.num_q_heads, spec.head_dim)
@@ -407,10 +406,9 @@ def execute_strategy(mesh: DeviceMesh, config: StrategyConfig, spec: AttentionSp
 
     Inputs are global (heads, length, head_dim) arrays whose length already
     divides the plan granule.  The mesh must have the config's (a2a, p2p)
-    factorisation and span the world.
+    factorisation of the world.
     """
-    if ((config.a2a_degree, config.p2p_degree) != (mesh.a2a_degree, mesh.p2p_degree)
-            or mesh.world_size != mesh.sp_degree):
+    if (config.a2a_degree, config.p2p_degree) != (mesh.a2a_degree, mesh.p2p_degree):
         raise ValueError(
             f"strategy {config.kind} (a2a {config.a2a_degree}, p2p {config.p2p_degree}) "
             f"does not match mesh (world {mesh.world_size}, a2a {mesh.a2a_degree}, "

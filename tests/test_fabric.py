@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from spsim.fabric import (
     CollectiveMismatchError,
     DeadlockError,
+    DeviceMesh,
     FabricError,
     FaultInjection,
     Topology,
@@ -80,35 +81,47 @@ class TestBuildMesh:
     def test_singleton_world(self):
         mesh = build_mesh(Topology(), a2a_degree=1, p2p_degree=1)
         assert mesh.world_size == 1
-        assert tuple(range(mesh.sp_degree)) == (0,)
+        assert tuple(range(mesh.world_size)) == (0,)
 
     def test_rejects_non_dividing_degree(self):
         with pytest.raises(ValueError, match="divide"):
             build_mesh(two_node_topology(), a2a_degree=3, p2p_degree=1)
 
+    def test_derives_p2p_degree_from_the_world(self):
+        mesh = build_mesh(Topology(num_nodes=2, gpus_per_node=6), 4)
+        assert (mesh.a2a_degree, mesh.p2p_degree) == (4, 3)
+        assert mesh.p2p_group_of(5) == (1, 5, 9)
+        assert build_mesh(two_node_topology()).p2p_degree == 8
+
+    @pytest.mark.parametrize("a2a", [0, 5, 24])
+    def test_mesh_type_refuses_a2a_not_dividing_the_world(self, a2a):
+        with pytest.raises(ValueError, match="does not divide world size 12"):
+            DeviceMesh(Topology(num_nodes=2, gpus_per_node=6), a2a)
+
+    @pytest.mark.parametrize("a2a,p2p", [(1, 4), (2, 2), (4, 4), (2, 12)])
+    def test_rejects_degrees_that_do_not_factor_the_world(self, a2a, p2p):
+        # 2 x 6 GPUs: a product below the world of 12 and one above it.
+        with pytest.raises(ValueError, match="does not match world size 12"):
+            build_mesh(Topology(num_nodes=2, gpus_per_node=6), a2a, p2p)
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data(), nodes=st.integers(1, 6), gpus=st.integers(1, 12))
-    def test_groups_partition_each_sp_block(self, data, nodes, gpus):
+    def test_groups_partition_the_world(self, data, nodes, gpus):
         world = nodes * gpus
-        sp = data.draw(st.sampled_from([d for d in range(1, world + 1) if world % d == 0]))
-        a2a = data.draw(st.sampled_from([d for d in range(1, sp + 1) if sp % d == 0]))
-        p2p = sp // a2a
+        a2a = data.draw(st.sampled_from([d for d in range(1, world + 1) if world % d == 0]))
+        p2p = world // a2a
         mesh = build_mesh(Topology(num_nodes=nodes, gpus_per_node=gpus), a2a, p2p)
         for rank in range(world):
             a2a_group = mesh.a2a_group_of(rank)
             p2p_group = mesh.p2p_group_of(rank)
             assert set(a2a_group) & set(p2p_group) == {rank}
-            block = range(rank - rank % sp, rank - rank % sp + sp)
-            assert set(a2a_group) <= set(block) and set(p2p_group) <= set(block)
             assert a2a_group == tuple(range(a2a_group[0], a2a_group[0] + a2a))
-            assert p2p_group == tuple(range(p2p_group[0], p2p_group[0] + sp, a2a))
-            # Reference: the rank's a2a and p2p indices within its SP block.
-            sp_base = rank - rank % sp
-            a2a_index, p2p_index = (rank % sp) % a2a, (rank % sp) // a2a
-            base = sp_base + p2p_index * a2a
+            assert p2p_group == tuple(range(p2p_group[0], p2p_group[0] + world, a2a))
+            # Reference: the rank's a2a and p2p indices within the world.
+            a2a_index, p2p_index = rank % a2a, rank // a2a
+            base = p2p_index * a2a
             assert a2a_group == tuple(range(base, base + a2a))
-            base = sp_base + a2a_index
-            assert p2p_group == tuple(base + i * a2a for i in range(p2p))
+            assert p2p_group == tuple(a2a_index + i * a2a for i in range(p2p))
 
 
 class TestRunProgram:

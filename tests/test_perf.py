@@ -298,6 +298,15 @@ class TestIterationTime:
                  for s in (16384, 32768, 65536, 131072, 262144)]
         assert all(b >= a for a, b in zip(times, times[1:]))
 
+    def test_config_not_factoring_the_world_is_refused(self):
+        # A ring of 4 on 2 x 6 GPUs covers a third of the world; no rank goes unpriced.
+        topo = Topology(num_nodes=2, gpus_per_node=6)
+        cfg = StrategyConfig("zigzag_ring", p2p_degree=4)
+        with pytest.raises(ValueError, match="does not match world size 12"):
+            iteration_time(cfg, model_profile("8b"), topo, 65536)
+        with pytest.raises(ValueError, match="does not match mesh"):
+            list(strategy_messages(cfg, model_profile("8b").spec, 65536, build_mesh(topo)))
+
     def test_megatron_baselines_slower_than_2d(self):
         profile = model_profile("8b")
         seq = 131072

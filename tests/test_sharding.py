@@ -17,7 +17,6 @@ from spsim.sharding import (
     build_sequences,
     chunk_pair_counts,
     chunk_workload_units,
-    contiguous_shard,
     distribute_images,
     encode_batch,
     encode_images_stub,
@@ -25,8 +24,8 @@ from spsim.sharding import (
     load_samples,
     padded_length,
     plan_granule,
+    shard_plan,
     text_embedding_stub,
-    zigzag_shard,
 )
 
 KIND_TEXT, KIND_VISION, KIND_DUMMY = 0, 1, 2
@@ -110,7 +109,7 @@ class TestGlobalizeAndPad:
     def test_pads_to_next_multiple(self):
         # length 100, ring degree 4, a2a 1 -> padded to 104 (next multiple of 8)
         mesh = mesh_of(4)
-        assert padded_length("zigzag", mesh.sp_degree, 100) == 104
+        assert padded_length("zigzag", mesh.world_size, 100) == 104
         batch = make_batch([0], [100])
         pieces = encode_batch(batch, tokens_per_frame=1, hidden=4)
         encoded, plan = globalize_and_pad(pieces, mesh)
@@ -148,18 +147,19 @@ class TestGlobalizeAndPad:
 
 class TestZigzagPlan:
     def test_two_end_assignment_p4(self):
-        plan = zigzag_shard(64, 4)
+        plan = shard_plan("zigzag", 64, 4)
         assert plan.assignments == ((0, 7), (1, 6), (2, 5), (3, 4))
 
     def test_p1_owns_everything(self):
-        plan = zigzag_shard(16, 1)
+        plan = shard_plan("zigzag", 16, 1)
         np.testing.assert_array_equal(plan.rank_positions(0), np.arange(16))
 
     def test_rejects_indivisible_length(self):
         with pytest.raises(ValueError, match="divisible"):
-            zigzag_shard(30, 4)
+            shard_plan("zigzag", 30, 4)
 
-    @pytest.mark.parametrize("plan", [zigzag_shard(16, 2), contiguous_shard(12, 3)],
+    @pytest.mark.parametrize("plan", [shard_plan("zigzag", 16, 2),
+                                      shard_plan("contiguous", 12, 3)],
                              ids=["zigzag", "contiguous"])
     def test_rank_positions_are_shared_and_read_only(self, plan):
         positions = plan.rank_positions(1)
@@ -171,7 +171,7 @@ class TestZigzagPlan:
         np.testing.assert_array_equal(plan.rank_positions(1), expected)
 
     def test_group_positions_are_sorted_shared_and_read_only(self):
-        plan = zigzag_shard(32, 4)
+        plan = shard_plan("zigzag", 32, 4)
         positions = plan.group_positions((1, 3))
         assert plan.group_positions((1, 3)) is positions
         expected = np.sort(np.concatenate([plan.rank_positions(1), plan.rank_positions(3)]))
@@ -181,7 +181,7 @@ class TestZigzagPlan:
 
     @pytest.mark.parametrize("sp", [2, 4, 8])
     def test_causal_chunk_pairs_equal_2p_plus_1(self, sp):
-        plan = zigzag_shard(8 * sp, sp)
+        plan = shard_plan("zigzag", 8 * sp, sp)
         assert chunk_pair_counts(plan) == [2 * sp + 1] * sp
 
     @pytest.mark.parametrize("sp,chunk,expected,ratio", [
@@ -191,14 +191,14 @@ class TestZigzagPlan:
         pytest.param(4, 1, [2, 4, 6, 8], 4, id="chunk1"),
     ])
     def test_contiguous_workload_ratio_2p_minus_1(self, sp, chunk, expected, ratio):
-        plan = contiguous_shard(chunk * sp, sp)
+        plan = shard_plan("contiguous", chunk * sp, sp)
         units = chunk_workload_units(plan)
         assert units == expected
         assert max(units) == ratio * min(units)
 
     @pytest.mark.parametrize("sp", [2, 4, 8])
     def test_zigzag_workload_units_equal(self, sp):
-        plan = zigzag_shard(8 * sp, sp)
+        plan = shard_plan("zigzag", 8 * sp, sp)
         units = chunk_workload_units(plan)
         assert len(set(units)) == 1
 
@@ -206,7 +206,7 @@ class TestZigzagPlan:
 class TestShardGather:
     def test_round_trip_identity(self):
         rng = np.random.default_rng(0)
-        plan = zigzag_shard(48, 3, original_length=41)
+        plan = shard_plan("zigzag", 48, 3, original_length=41)
         x = rng.standard_normal((48, 5))
         shards = plan.shard(x)
         assert all(s.shape[0] == 16 for s in shards)
@@ -214,21 +214,21 @@ class TestShardGather:
         np.testing.assert_array_equal(back, x[:41])
 
     def test_gather_drops_dummies(self):
-        plan = zigzag_shard(16, 2, original_length=13)
+        plan = shard_plan("zigzag", 16, 2, original_length=13)
         x = np.arange(16.0)[:, None]
         back = plan.gather(plan.shard(x), trim=True)
         assert back.shape[0] == 13
 
     def test_shard_along_other_axis(self):
         rng = np.random.default_rng(1)
-        plan = contiguous_shard(12, 4)
+        plan = shard_plan("contiguous", 12, 4)
         x = rng.standard_normal((2, 12, 3))
         shards = plan.shard(x, axis=1)
         back = plan.gather(shards, axis=1)
         np.testing.assert_array_equal(back, x)
 
     def test_missing_shard_rejected(self):
-        plan = contiguous_shard(8, 2)
+        plan = shard_plan("contiguous", 8, 2)
         with pytest.raises(ValueError, match="shards"):
             plan.gather([np.zeros((4, 1))])
 
@@ -257,16 +257,15 @@ class TestGranuleRule:
         granule = plan_granule(kind, sp)
         if snap:  # also draw multiples: zero, negative and positive ones
             length -= length % granule
-        make = contiguous_shard if kind == "contiguous" else zigzag_shard
         if length >= 1 and length % granule == 0:
-            plan = make(length, sp)
+            plan = shard_plan(kind, length, sp)
             assert (plan.kind, plan.padded_length) == (kind, length)
             assert plan.num_chunks == granule
             return
         text = (f"length {length} not divisible by sp_degree {sp}" if kind == "contiguous"
                 else f"length {length} not divisible by 2 * sp_degree = {2 * sp}")
         with pytest.raises(ValueError, match=re.escape(text)):
-            make(length, sp)
+            shard_plan(kind, length, sp)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(sp=SP_DEGREES, length=st.integers(1, 10**6))

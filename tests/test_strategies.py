@@ -16,7 +16,7 @@ from spsim.numeric import (
     reference_attention,
     start_fold,
 )
-from spsim.sharding import contiguous_shard, zigzag_shard
+from spsim.sharding import shard_plan
 from spsim.strategies import (
     StrategyConfig,
     StrategyConfigError,
@@ -82,7 +82,7 @@ class TestRingAttention:
         assert sizes == {2 * SPEC.num_kv_heads * 16 * SPEC.head_dim * 8}
 
     def test_rejects_zigzag_plan(self):
-        plan = zigzag_shard(32, 2)
+        plan = shard_plan("zigzag", 32, 2)
         rng = np.random.default_rng(3)
         q, k, v = random_qkv(rng, SPEC, 32)
         with pytest.raises(ValueError, match="contiguous"):
@@ -122,7 +122,7 @@ class TestZigzagRingAttention:
         # Walk the deterministic ring schedule hop by hop: at hop h, rank r
         # holds the KV chunks of rank (r - h) mod P.  Count the unmasked
         # (q-chunk, kv-chunk) pairs each rank computes; all must equal 2P+1.
-        plan = zigzag_shard(8 * sp, sp)
+        plan = shard_plan("zigzag", 8 * sp, sp)
         counts = [0] * sp
         for rank in range(sp):
             for hop in range(sp):
@@ -134,7 +134,7 @@ class TestZigzagRingAttention:
         assert counts == [2 * sp + 1] * sp
 
     def test_rejects_contiguous_plan(self):
-        plan = contiguous_shard(32, 2)
+        plan = shard_plan("contiguous", 32, 2)
         rng = np.random.default_rng(7)
         q, k, v = random_qkv(rng, SPEC, 32)
         with pytest.raises(ValueError, match="zigzag"):
