@@ -15,6 +15,7 @@ from .numeric import (  # noqa: F401
     init_attention_state,
     merge_attention_partials,
     reference_attention,
+    start_fold,
 )
 from .fabric import (  # noqa: F401
     CommLog,

@@ -12,7 +12,9 @@ Exit codes: 0 ok, 1 verification failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -137,6 +139,17 @@ def _check(path: str, value):
     return value
 
 
+def _check_out(out: str) -> None:
+    """Refuse an ``out`` path before any work if writing it would fail for
+    want of its directory, or because it is one, with that same error."""
+    try:
+        os.stat(os.path.join(os.path.dirname(out) or ".", ""))  # ENOENT or ENOTDIR
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {out}: {exc.strerror}") from exc
+
+
 def load_scenario(path: str | None, overrides: argparse.Namespace) -> Scenario:
     raw: dict = {}
     if path is not None:
@@ -187,6 +200,8 @@ def load_scenario(path: str | None, overrides: argparse.Namespace) -> Scenario:
                                     cfg["strategy.kv_replication"])
     except StrategyConfigError as exc:
         raise ConfigError(f"strategy: {exc}") from exc
+    if cfg["out"]:
+        _check_out(cfg["out"])
 
     return Scenario(
         topology=topology,

@@ -259,8 +259,7 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
                 new_caches.append(cache)
             fold = start_fold(q, q_pos)
             if cache.positions.size:
-                blockwise_attention_step(fold.state, fold.q, cache.k, cache.v,
-                                         fold.q_positions, cache.positions, out=fold)
+                blockwise_attention_step(fold, cache.k, cache.v, cache.positions)
             gathered = handle.all_gather(group, fold.state.as_arrays(), root=owner)
             if rank == owner:
                 merged = merge_attention_partials(

@@ -7,11 +7,10 @@ produce bitwise-identical outputs, which is what makes cross-strategy
 equivalence checks meaningful.
 
 A ring pass folds every KV block it receives into one accumulator in place:
-``start_fold`` checks the query block once and owns the state, and
-``blockwise_attention_step(..., out=fold)`` then checks only the KV block.
-The functional call form is the same fold on a copy of the state.
-``finalize_attention(fold.state, out=fold)`` then normalizes the fold's own
-accumulator in place.
+``start_fold`` checks the query block once and owns the accumulator (a
+fresh one, or a copy of a given state), ``blockwise_attention_step(fold,
+...)`` checks only the KV block and folds it into ``fold.state``, and
+``finalize_attention`` normalizes a state in place.
 """
 
 from __future__ import annotations
@@ -167,21 +166,20 @@ def reference_attention(q, k, v, spec: AttentionSpec, q_positions=None, kv_posit
 
 @dataclass
 class AttentionFold:
-    """A query block, checked once, and the accumulator its KV blocks fold
-    into (see ``start_fold``).  A caller's state is copied before its first
-    change, never mutated."""
+    """A query block, checked once, and the accumulator that its KV blocks
+    fold into in place (see ``start_fold``).  The fold owns ``state``."""
 
     q: np.ndarray
     q_positions: np.ndarray
     q_span: tuple[int, int]  # least and greatest query position
     state: AttentionState
-    owned: bool  # ``state`` belongs to the fold and may change in place
     fresh: bool  # no key folded yet, so every running max is -inf
     all_seen: bool = False  # every row has seen a key: no running max is -inf
 
 
 def start_fold(q_block, q_positions, state: AttentionState | None = None) -> AttentionFold:
-    """Check a query block and its positions once for a chain of KV folds."""
+    """Check a query block and its positions once for a chain of KV folds,
+    on a fresh accumulator or on a copy of ``state``, which is never mutated."""
     q = _check_array(q_block, "q_block", 3)
     if state is not None and state.partial_output.shape != q.shape:
         raise ValueError(
@@ -190,25 +188,22 @@ def start_fold(q_block, q_positions, state: AttentionState | None = None) -> Att
         )
     q_pos = _check_positions(q_positions, "q_positions", q.shape[1])
     span = (int(q_pos.min()), int(q_pos.max())) if q_pos.size else (0, -1)
-    owned = state is None
-    return AttentionFold(q, q_pos, span, init_attention_state(*q.shape) if owned else state,
-                         owned=owned, fresh=owned)
+    fresh = state is None
+    state = (init_attention_state(*q.shape) if fresh
+             else AttentionState(*(a.copy() for a in state.as_arrays())))
+    return AttentionFold(q, q_pos, span, state, fresh)
 
 
-def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
-                             q_positions, kv_positions, *,
-                             out: AttentionFold | None = None) -> AttentionState:
-    """Fold one KV block into the accumulator (one ring hop's local compute).
+def blockwise_attention_step(fold: AttentionFold, k_block, v_block,
+                             kv_positions) -> AttentionState:
+    """Fold one KV block into ``fold.state`` in place and return that state
+    (one ring hop's local compute).
 
     Safe-softmax update: the running maximum absorbs the block's row maxima
     and previous contributions are rescaled by exp(old_max - new_max).
     A block whose keys are all causally masked for a row leaves that row's
-    state unchanged; a block that no query row sees returns ``state``
-    itself.  Otherwise returns a new state.  The input is never mutated.
-
-    In place: with ``out`` from ``start_fold(q_block, q_positions)``, pass
-    the fold's own ``state``, ``q`` and ``q_positions``; only the KV block is
-    checked, and it folds into ``out.state``, which is returned.
+    state unchanged.  Only the KV block is checked; ``start_fold`` checked
+    the query block.
 
     Provably-zero work is skipped.  Bitwise exact: the rescale on a fresh
     fold's first visible block (zeros times 0) and its add to the zero
@@ -217,33 +212,26 @@ def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
     rows that see no key of the block.  Keys that no row sees weigh exactly
     0, but dropping them shortens the matmul and sum, which can move last bits.
     """
-    if out is None:
-        out = start_fold(q_block, q_positions, state)
-    elif state is not out.state or q_block is not out.q or q_positions is not out.q_positions:
-        raise ValueError("out must be the fold of this state, q_block and q_positions")
     k = _check_array(k_block, "k_block", 3)
     v = _check_array(v_block, "v_block", 3)
     if v.shape != k.shape:
         raise ValueError(f"v_block shape {v.shape} does not match k_block {k.shape}")
-    q = out.q
+    q = fold.q
     heads, n_q, head_dim = q.shape
     kv_heads, n_k = k.shape[:2]
     if heads % kv_heads != 0:
         raise ValueError(f"kv head count {kv_heads} does not divide q head count {heads}")
     kv_pos = _check_positions(kv_positions, "kv_positions", n_k)
-    q_pos, (q_lo, q_hi) = out.q_positions, out.q_span
+    q_pos, (q_lo, q_hi) = fold.q_positions, fold.q_span
     if n_k == 0 or n_q == 0:
-        return out.state
+        return fold.state
     kv_lo = np.minimum.reduce(kv_pos)
     # Every key lies after every query: the update would rescale by 1 and
     # add 0, so skip the arithmetic.
     if kv_lo > q_hi:
-        return out.state
+        return fold.state
     kv_hi = np.maximum.reduce(kv_pos)
-    if not out.owned:
-        out.state = AttentionState(*(a.copy() for a in out.state.as_arrays()))
-        out.owned = True
-    output, running_max, denominator = out.state.as_arrays()
+    output, running_max, denominator = fold.state.as_arrays()
     # Unless some key lies after the first query, every row sees every key
     # (each decode block, each earlier block of a contiguous ring): no mask
     # and no trimming, and afterwards every row has seen a key.
@@ -268,33 +256,33 @@ def blockwise_attention_step(state: AttentionState, q_block, k_block, v_block,
     if masked:
         np.copyto(scores, -np.inf, where=kv_pos > q_pos[:, np.newaxis])
     block_max = np.maximum.reduce(scores, axis=-1)  # -inf on rows fully masked here
-    new_max = block_max if out.fresh else np.maximum(running_max, block_max)
-    if out.all_seen or not masked:
+    new_max = block_max if fold.fresh else np.maximum(running_max, block_max)
+    if fold.all_seen or not masked:
         safe_max = new_max
-        out.all_seen = True
+        fold.all_seen = True
     else:
         # Shift by 0 instead of -inf for rows that have still seen no key,
         # so the exponentials below evaluate to exact 0.0 rather than nan.
         unseen = new_max == -np.inf
         safe_max = np.where(unseen, 0.0, new_max)
-        out.all_seen = first == 0 and not unseen.any()
+        fold.all_seen = first == 0 and not unseen.any()
     scores -= safe_max[..., np.newaxis]
     weights = np.exp(scores, out=scores)
     stacked = weights.reshape(kv_heads, group * n_q, n_k)
-    if out.fresh and output.flags.c_contiguous:
+    if fold.fresh and output.flags.c_contiguous:
         # The accumulator is all +0.0, and +0.0 + x == x for every x a matmul
         # returns (its sums start from +0.0, so never -0.0): write in place.
         np.matmul(stacked, v, out=output.reshape(kv_heads, group * n_q, head_dim))
     else:
-        if not out.fresh:
+        if not fold.fresh:
             rescale = np.exp(running_max - safe_max)
             output *= rescale[..., np.newaxis]
             denominator *= rescale
         output += np.matmul(stacked, v).reshape(heads, n_q, head_dim)
-    out.fresh = False
+    fold.fresh = False
     denominator += np.add.reduce(weights, axis=-1)
     running_max[...] = new_max
-    return out.state
+    return fold.state
 
 
 def merge_attention_partials(*states: AttentionState) -> AttentionState:
@@ -328,19 +316,10 @@ def merge_attention_partials(*states: AttentionState) -> AttentionState:
     )
 
 
-def finalize_attention(state: AttentionState, *,
-                       out: AttentionFold | None = None) -> np.ndarray:
-    """Normalize the accumulator into the attention output.
-
-    Returns a new array; ``state`` is never mutated.  In place: with ``out``
-    the fold that owns ``state``, the partial output is normalized where it
-    lies and returned, and the fold is spent.
-    """
-    if out is not None and (state is not out.state or not out.owned):
-        raise ValueError("out must be the fold that owns this state")
+def finalize_attention(state: AttentionState) -> np.ndarray:
+    """Normalize the accumulator into the attention output in place and
+    return it: the partial output is divided where it lies, so ``state`` is spent."""
     if (state.running_denominator <= 0.0).any():
         raise ValueError("cannot finalize: some query rows never saw a key")
-    denominator = state.running_denominator[..., np.newaxis]
-    if out is None:
-        return state.partial_output / denominator
-    return np.divide(state.partial_output, denominator, out=state.partial_output)
+    return np.divide(state.partial_output, state.running_denominator[..., np.newaxis],
+                     out=state.partial_output)

@@ -10,6 +10,7 @@ absolute wall-clock claims.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .fabric import DeviceMesh, Topology, build_mesh, comm_time
@@ -518,7 +519,9 @@ def two_stage_gain(samples, sp_degree: int, profile: ModelProfile,
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of ``n`` in ascending order, found in O(sqrt(n)) steps."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def plan(topology: Topology, profile: ModelProfile, seq_len: int) -> StrategyConfig:

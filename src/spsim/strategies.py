@@ -195,8 +195,8 @@ def _ring_pass(handle, ring_group, q, k, v, q_pos, kv_positions_of):
     into one accumulator in place; each received block is still checked.
     Exchanging first keeps the folds back to back on one thread: a fold run
     between two thread handoffs starts on a cold working set and costs
-    about 50 % more.  The pass owns the accumulator, so it finalizes into
-    it and returns it.
+    about 50 % more.  The fold owns the accumulator, so the pass finalizes
+    into it and returns it.
     """
     ring = tuple(ring_group)
     size = len(ring)
@@ -208,9 +208,9 @@ def _ring_pass(handle, ring_group, q, k, v, q_pos, kv_positions_of):
     for _ in range(size - 1):
         blocks.append(handle.send_recv(ring, dst, src, blocks[-1]))
     for hop, (k_block, v_block) in enumerate(blocks):
-        blockwise_attention_step(fold.state, fold.q, k_block, v_block, fold.q_positions,
-                                 kv_positions_of(ring[(me - hop) % size]), out=fold)
-    return finalize_attention(fold.state, out=fold)
+        blockwise_attention_step(fold, k_block, v_block,
+                                 kv_positions_of(ring[(me - hop) % size]))
+    return finalize_attention(fold.state)
 
 
 def _head_slices(total: int, parts: int):

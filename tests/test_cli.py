@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spsim
-from spsim import perf
+from spsim import cli, perf
 from spsim.cli import (SCENARIO_KEYS, ConfigError, _verify_length, comm_model_ok,
                        load_scenario, main, verification_strategies)
 from spsim.fabric import CommLog, Topology, build_mesh
@@ -96,15 +96,20 @@ class TestConfigHandling:
         assert "workload.seq_len:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["verify", "plan"])
+    @pytest.mark.parametrize("command", ["verify", "simulate", "plan"])
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
-    def test_unwritable_out_is_refused(self, tmp_path, capsys, command, target):
+    def test_unwritable_out_is_refused(self, tmp_path, capsys, monkeypatch, command, target):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the out refusal")
+
+        monkeypatch.setattr(cli, "execute_strategy", no_work)
+        monkeypatch.setattr(perf, "comm_volume", no_work)
         out = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
         cfg = write_config(tmp_path, {**SMALL_SCENARIO, "out": str(out)})
         assert run_cli(command, "--config", cfg) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: out: cannot write {out}: ")
-        assert "Traceback" not in err
+        reason = "No such file or directory" if target == "missing-dir" else "Is a directory"
+        assert err == f"config error: out: cannot write {out}: {reason}\n"
 
     def test_executed_length_limit_boundary(self, tmp_path):
         # 8b: 32 heads x 2048 x 2048 x 8 bytes is exactly the 1 GiB limit.

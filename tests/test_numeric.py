@@ -174,9 +174,9 @@ class TestBlockwiseAccumulation:
         rng = np.random.default_rng(10)
         q, k, v = _random_qkv(rng, spec, 32)
         pos = np.arange(32)
-        state = init_attention_state(4, 32, 8)
-        state = blockwise_attention_step(state, q, k, v, pos, pos)
-        got = finalize_attention(state)
+        fold = start_fold(q, pos, init_attention_state(4, 32, 8))
+        blockwise_attention_step(fold, k, v, pos)
+        got = finalize_attention(fold.state)
         want = reference_attention(q, k, v, spec)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -185,13 +185,11 @@ class TestBlockwiseAccumulation:
         rng = np.random.default_rng(11)
         q, k, v = _random_qkv(rng, spec, 64)
         pos = np.arange(64)
-        state = init_attention_state(4, 64, 8)
+        fold = start_fold(q, pos, init_attention_state(4, 64, 8))
         for start in range(0, 64, 16):
             block = slice(start, start + 16)
-            state = blockwise_attention_step(
-                state, q, k[:, block], v[:, block], pos, pos[block]
-            )
-        got = finalize_attention(state)
+            blockwise_attention_step(fold, k[:, block], v[:, block], pos[block])
+        got = finalize_attention(fold.state)
         want = reference_attention(q, k, v, spec)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -200,18 +198,14 @@ class TestBlockwiseAccumulation:
         rng = np.random.default_rng(12)
         q, k, v = _random_qkv(rng, spec, 8)
         pos = np.arange(8)
-        state = blockwise_attention_step(
-            init_attention_state(2, 8, 4), q, k, v, pos, pos
-        )
+        fold = start_fold(q, pos, init_attention_state(2, 8, 4))
+        before = [a.copy() for a in blockwise_attention_step(fold, k, v, pos).as_arrays()]
         # every key position beyond every query position
         future_k = rng.standard_normal((2, 5, 4))
         future_v = rng.standard_normal((2, 5, 4))
-        after = blockwise_attention_step(
-            state, q, future_k, future_v, pos, np.arange(100, 105)
-        )
-        np.testing.assert_array_equal(after.partial_output, state.partial_output)
-        np.testing.assert_array_equal(after.running_max, state.running_max)
-        np.testing.assert_array_equal(after.running_denominator, state.running_denominator)
+        after = blockwise_attention_step(fold, future_k, future_v, np.arange(100, 105))
+        for kept, now in zip(before, after.as_arrays()):
+            np.testing.assert_array_equal(now, kept)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_any_partition_any_order_matches_reference(self, seed):
@@ -229,13 +223,11 @@ class TestBlockwiseAccumulation:
         blocks = np.split(np.arange(length), cuts)
         order = rng.permutation(len(blocks))
 
-        state = init_attention_state(q_heads, length, head_dim)
+        fold = start_fold(q, pos, init_attention_state(q_heads, length, head_dim))
         for bi in order:
             rows = blocks[bi]
-            state = blockwise_attention_step(
-                state, q, k[:, rows], v[:, rows], pos, pos[rows]
-            )
-        got = finalize_attention(state)
+            blockwise_attention_step(fold, k[:, rows], v[:, rows], pos[rows])
+        got = finalize_attention(fold.state)
         want = reference_attention(q, k, v, spec)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -251,10 +243,10 @@ class TestBlockwiseAccumulation:
         assert np.max(np.abs(reference_attention(q, k, v, spec) - want)) < 1e-12
 
         cuts = np.sort(rng.choice(np.arange(1, length), size=3, replace=False))
-        state = init_attention_state(q_heads, length, 8)
+        fold = start_fold(q, pos, init_attention_state(q_heads, length, 8))
         for rows in np.split(rng.permutation(length), cuts):
-            state = blockwise_attention_step(state, q, k[:, rows], v[:, rows], pos, pos[rows])
-        assert np.max(np.abs(finalize_attention(state) - want)) < 1e-12
+            blockwise_attention_step(fold, k[:, rows], v[:, rows], pos[rows])
+        assert np.max(np.abs(finalize_attention(fold.state) - want)) < 1e-12
 
     @pytest.mark.parametrize("kv_start", [0, 100], ids=["normal", "fully-masked"])
     def test_input_state_is_not_mutated(self, kv_start):
@@ -262,13 +254,13 @@ class TestBlockwiseAccumulation:
         rng = np.random.default_rng(14)
         q, k, v = _random_qkv(rng, spec, 8)
         pos = np.arange(8)
-        state = blockwise_attention_step(init_attention_state(4, 8, 4), q, k[:, :4],
-                                         v[:, :4], pos, pos[:4])
+        state = blockwise_attention_step(start_fold(q, pos, init_attention_state(4, 8, 4)),
+                                         k[:, :4], v[:, :4], pos[:4])
         before = [a.copy() for a in state.as_arrays()]
-        after = blockwise_attention_step(state, q, k[:, 4:], v[:, 4:], pos, pos[4:] + kv_start)
+        blockwise_attention_step(start_fold(q, pos, state), k[:, 4:], v[:, 4:],
+                                 pos[4:] + kv_start)
         for kept, now in zip(before, state.as_arrays()):
             assert kept.tobytes() == now.tobytes()
-        assert (after is state) == (kv_start > 0)
 
     def test_non_contiguous_q_matches_contiguous_copy(self):
         spec = AttentionSpec(num_q_heads=4, num_kv_heads=2, head_dim=8)
@@ -280,7 +272,8 @@ class TestBlockwiseAccumulation:
         pos = np.arange(10)
         np.testing.assert_array_equal(reference_attention(q_view, k, v, spec),
                                       reference_attention(q_copy, k, v, spec))
-        states = [blockwise_attention_step(init_attention_state(4, 10, 8), q, k, v, pos, pos)
+        states = [blockwise_attention_step(start_fold(q, pos, init_attention_state(4, 10, 8)),
+                                           k, v, pos)
                   for q in (q_view, q_copy)]
         for a, b in zip(*(s.as_arrays() for s in states)):
             np.testing.assert_array_equal(a, b)
@@ -290,17 +283,15 @@ class TestBlockwiseAccumulation:
         q = rng.standard_normal((3, 4, 2))
         k = v = rng.standard_normal((2, 4, 2))
         with pytest.raises(ValueError, match="kv head count 2 does not divide q head count 3"):
-            blockwise_attention_step(init_attention_state(3, 4, 2), q, k, v,
-                                     np.arange(4), np.arange(4))
+            blockwise_attention_step(start_fold(q, np.arange(4), init_attention_state(3, 4, 2)),
+                                     k, v, np.arange(4))
 
     def test_rejects_state_shape_mismatch(self):
         spec = AttentionSpec(num_q_heads=2, num_kv_heads=2, head_dim=4)
         rng = np.random.default_rng(13)
-        q, k, v = _random_qkv(rng, spec, 8)
+        q, _k, _v = _random_qkv(rng, spec, 8)
         with pytest.raises(ValueError, match="state shape"):
-            blockwise_attention_step(
-                init_attention_state(2, 5, 4), q, k, v, np.arange(8), np.arange(8)
-            )
+            start_fold(q, np.arange(8), init_attention_state(2, 5, 4))
 
 
 def _stacked_merge(*states):
@@ -322,9 +313,8 @@ class TestMergePartials:
         rng = np.random.default_rng(20)
         q, k, v = _random_qkv(rng, spec, 12)
         pos = np.arange(12)
-        state = blockwise_attention_step(
-            init_attention_state(2, 12, 4), q, k, v, pos, pos
-        )
+        state = blockwise_attention_step(start_fold(q, pos, init_attention_state(2, 12, 4)),
+                                         k, v, pos)
         merged = merge_attention_partials(state, init_attention_state(2, 12, 4))
         np.testing.assert_array_equal(merged.partial_output, state.partial_output)
         np.testing.assert_array_equal(merged.running_denominator, state.running_denominator)
@@ -334,12 +324,10 @@ class TestMergePartials:
         rng = np.random.default_rng(21)
         q, k, v = _random_qkv(rng, spec, 30)
         pos = np.arange(30)
-        a = blockwise_attention_step(
-            init_attention_state(4, 30, 8), q, k[:, :14], v[:, :14], pos, pos[:14]
-        )
-        b = blockwise_attention_step(
-            init_attention_state(4, 30, 8), q, k[:, 14:], v[:, 14:], pos, pos[14:]
-        )
+        a = blockwise_attention_step(start_fold(q, pos, init_attention_state(4, 30, 8)),
+                                     k[:, :14], v[:, :14], pos[:14])
+        b = blockwise_attention_step(start_fold(q, pos, init_attention_state(4, 30, 8)),
+                                     k[:, 14:], v[:, 14:], pos[14:])
         ab = finalize_attention(merge_attention_partials(a, b))
         ba = finalize_attention(merge_attention_partials(b, a))
         assert np.max(np.abs(ab - ba)) < 1e-12
@@ -354,12 +342,10 @@ class TestMergePartials:
         mask = rng.random(length) < 0.5
         halves = []
         for rows in (np.flatnonzero(mask), np.flatnonzero(~mask)):
-            state = init_attention_state(4, length, 8)
+            fold = start_fold(q, pos, init_attention_state(4, length, 8))
             if rows.size:
-                state = blockwise_attention_step(
-                    state, q, k[:, rows], v[:, rows], pos, pos[rows]
-                )
-            halves.append(state)
+                blockwise_attention_step(fold, k[:, rows], v[:, rows], pos[rows])
+            halves.append(fold.state)
         got = finalize_attention(merge_attention_partials(*halves))
         want = reference_attention(q, k, v, spec)
         assert np.max(np.abs(got - want)) < 1e-10
@@ -398,14 +384,6 @@ class TestMergePartials:
         with pytest.raises(ValueError, match="never saw a key"):
             finalize_attention(init_attention_state(1, 3, 2))
 
-    def test_in_place_finalize_needs_the_fold_that_owns_the_state(self):
-        q, q_pos = np.ones((1, 2, 2)), np.arange(2)
-        caller = init_attention_state(1, 2, 2)
-        with pytest.raises(ValueError, match="fold that owns this state"):
-            finalize_attention(caller, out=start_fold(q, q_pos, caller))  # not yet copied
-        with pytest.raises(ValueError, match="fold that owns this state"):
-            finalize_attention(caller, out=start_fold(q, q_pos))  # another state
-
 
 # ---------------------------------------------------------------------------
 # Property tests of the fold and the merge
@@ -442,13 +420,18 @@ def _chain_inputs(chain):
     return spec, q[:, q_pos], k, v, q_pos, blocks
 
 
+def _general_fold(q, q_pos):
+    """A fold started from an explicit empty state: the general path, and
+    the bitwise reference for a fresh fold's fast path."""
+    return start_fold(q, q_pos, init_attention_state(*q.shape))
+
+
 def _partials(q, k, v, q_pos, blocks):
     """One fresh fold per block, as each rank's partial in decode."""
     states = []
     for block in blocks:
         fold = start_fold(q, q_pos)
-        blockwise_attention_step(fold.state, fold.q, k[:, block], v[:, block],
-                                 fold.q_positions, block, out=fold)
+        blockwise_attention_step(fold, k[:, block], v[:, block], block)
         states.append(fold.state)
     return states
 
@@ -468,22 +451,18 @@ class TestDecodeFold:
             kv_pos[-1] = q_pos[0]  # the newest key at the query's position, as on the owner
         fold = start_fold(q, q_pos)
         if cached:
-            blockwise_attention_step(fold.state, fold.q, k, v, fold.q_positions, kv_pos,
-                                     out=fold)
-        fresh = init_attention_state(8, 1, 16)
-        functional = blockwise_attention_step(fresh, q, k, v, q_pos, kv_pos)
-        for a, b in zip(functional.as_arrays(), fold.state.as_arrays()):
+            blockwise_attention_step(fold, k, v, kv_pos)
+        general = blockwise_attention_step(_general_fold(q, q_pos), k, v, kv_pos)
+        for a, b in zip(general.as_arrays(), fold.state.as_arrays()):
             assert a.tobytes() == b.tobytes()
         if cached:
             want = reference_attention(q, k, v, spec, q_positions=q_pos, kv_positions=kv_pos)
             assert np.max(np.abs(finalize_attention(fold.state) - want)) < 1e-10
-        else:
-            assert functional is fresh
 
 
 class TestFirstFoldInPlace:
     """A fresh fold writes its first visible block's P.V straight into the
-    zero accumulator when that is contiguous; the functional form on
+    zero accumulator when that is contiguous; a fold started from
     ``init_attention_state`` adds it to zeros.  The bits must agree."""
 
     @pytest.mark.parametrize("heads,kv_heads,q_pos,kv_pos", [
@@ -499,11 +478,9 @@ class TestFirstFoldInPlace:
         v = -np.abs(rng.standard_normal((kv_heads, len(kv_pos), 4)))  # 0 * v is -0.0
         q_pos, kv_pos = np.array(q_pos), np.array(kv_pos)
         fold = start_fold(q, q_pos)
-        blockwise_attention_step(fold.state, fold.q, k, v, fold.q_positions, kv_pos,
-                                 out=fold)
-        functional = blockwise_attention_step(init_attention_state(*q.shape), q, k, v,
-                                              q_pos, kv_pos)
-        for a, b in zip(functional.as_arrays(), fold.state.as_arrays()):
+        blockwise_attention_step(fold, k, v, kv_pos)
+        general = blockwise_attention_step(_general_fold(q, q_pos), k, v, kv_pos)
+        for a, b in zip(general.as_arrays(), fold.state.as_arrays()):
             assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
@@ -512,19 +489,37 @@ class TestFoldProperty:
     @given(chain=fold_chains())
     def test_in_place_fold_equals_functional_form_bitwise(self, chain):
         _spec, q, k, v, q_pos, blocks = _chain_inputs(chain)
-        state = init_attention_state(*q.shape)
+        general = _general_fold(q, q_pos)
         fold = start_fold(q, q_pos)
         for block in blocks:
-            state = blockwise_attention_step(state, q, k[:, block], v[:, block], q_pos, block)
-            blockwise_attention_step(fold.state, fold.q, k[:, block], v[:, block],
-                                     fold.q_positions, block, out=fold)
-        for functional, in_place in zip(state.as_arrays(), fold.state.as_arrays()):
-            assert functional.tobytes() == in_place.tobytes()
-        before = [a.tobytes() for a in state.as_arrays()]
-        want = finalize_attention(state)
-        assert [a.tobytes() for a in state.as_arrays()] == before  # never mutated
-        got = finalize_attention(fold.state, out=fold)
+            blockwise_attention_step(general, k[:, block], v[:, block], block)
+            blockwise_attention_step(fold, k[:, block], v[:, block], block)
+        for a, b in zip(general.state.as_arrays(), fold.state.as_arrays()):
+            assert a.tobytes() == b.tobytes()
+        want = finalize_attention(general.state)
+        got = finalize_attention(fold.state)
         assert got is fold.state.partial_output and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(chain=fold_chains(), split=st.integers(0, 4))
+    def test_fold_from_a_state_copies_it_and_resumes_the_chain_bitwise(self, chain, split):
+        # A chain cut after ``split`` blocks and resumed from the first
+        # fold's state: the resumed fold works on a copy, so the state it
+        # started from keeps its bytes, and the two halves together equal
+        # the uncut chain bit for bit.
+        _spec, q, k, v, q_pos, blocks = _chain_inputs(chain)
+        uncut, first = start_fold(q, q_pos), start_fold(q, q_pos)
+        for block in blocks:
+            blockwise_attention_step(uncut, k[:, block], v[:, block], block)
+        for block in blocks[:split]:
+            blockwise_attention_step(first, k[:, block], v[:, block], block)
+        before = [a.tobytes() for a in first.state.as_arrays()]
+        resumed = start_fold(q, q_pos, first.state)
+        for block in blocks[split:]:
+            blockwise_attention_step(resumed, k[:, block], v[:, block], block)
+        assert [a.tobytes() for a in first.state.as_arrays()] == before
+        for a, b in zip(uncut.state.as_arrays(), resumed.state.as_arrays()):
+            assert a.tobytes() == b.tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(chain=fold_chains())
@@ -532,8 +527,7 @@ class TestFoldProperty:
         spec, q, k, v, q_pos, blocks = _chain_inputs(chain)
         fold = start_fold(q, q_pos)
         for block in blocks:
-            blockwise_attention_step(fold.state, fold.q, k[:, block], v[:, block],
-                                     fold.q_positions, block, out=fold)
+            blockwise_attention_step(fold, k[:, block], v[:, block], block)
         want = reference_attention(q, k, v, spec, q_positions=q_pos)
         assert np.max(np.abs(finalize_attention(fold.state) - want)) < 1e-10
 

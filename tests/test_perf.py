@@ -24,6 +24,7 @@ from spsim.strategies import (
 )
 from spsim.perf import (
     _OVERLAP_TABLE,
+    _divisors,
     calibrate,
     comm_volume,
     decode_messages,
@@ -396,3 +397,12 @@ class TestPlanner:
     def test_world_1_trivial(self):
         cfg = plan(Topology(), model_profile("8b"), 4096)
         assert cfg.sp_degree == 1
+
+    def test_divisors_match_a_sieve(self):
+        # The planner's candidate a2a degrees: every divisor, ascending.
+        sieve = [[] for _ in range(5001)]
+        for d in range(1, 5001):
+            for multiple in range(d, 5001, d):
+                sieve[multiple].append(d)
+        for n in range(1, 5001):
+            assert _divisors(n) == sieve[n]

@@ -16,7 +16,13 @@ from spsim.numeric import (
     reference_attention,
     start_fold,
 )
-from spsim.sharding import shard_plan
+from spsim.sharding import (
+    SampleSpec,
+    build_sequences,
+    encode_batch,
+    globalize_and_pad,
+    shard_plan,
+)
 from spsim.strategies import (
     StrategyConfig,
     StrategyConfigError,
@@ -373,6 +379,33 @@ class TestTracedNames:
         execute_strategy(sp_mesh(a2a * p2p, a2a), config, SPEC, q, k, v)
         assert calls == [wrappers[kind]]
 
+    def test_decode_step_folds_per_rank_and_layer_and_merges_per_layer(self, monkeypatch):
+        """The decode smoke's ``numeric.step`` and ``numeric.merge`` counts
+        wrap ``inference.blockwise_attention_step`` and
+        ``inference.merge_attention_partials`` by name: with cache on every
+        rank, one decode step folds W * L times and merges L times."""
+        import spsim.inference as inference
+
+        spec = AttentionSpec(num_q_heads=4, num_kv_heads=2, head_dim=8, num_layers=3)
+        mesh = sp_mesh(4, 1)
+        pieces = encode_batch(build_sequences([SampleSpec(0, 1, 30)]), tokens_per_frame=5,
+                              hidden=spec.hidden_size)
+        encoded, plan = globalize_and_pad(pieces, mesh)
+        state = inference.sp_prefill(mesh, encoded, plan,
+                                     inference.StubModel(spec, eos_token_id=-1))
+        assert all(cache.positions.size for caches in state.caches for cache in caches)
+        calls = Counter()
+        for name in ("blockwise_attention_step", "merge_attention_partials"):
+            original = getattr(inference, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(inference, name, counted)
+        inference.sp_decode_step(mesh, state)
+        assert calls == {"blockwise_attention_step": 4 * 3, "merge_attention_partials": 3}
+
 
 def fold_as_it_arrives(plan, q_shards, k_shards, v_shards):
     """A ring program that folds each KV block as its hop delivers it.
@@ -389,8 +422,7 @@ def fold_as_it_arrives(plan, q_shards, k_shards, v_shards):
         kv = (k_shards[rank], v_shards[rank])
         for hop in range(size):
             source = ring[(me - hop) % size]
-            blockwise_attention_step(fold.state, fold.q, kv[0], kv[1], fold.q_positions,
-                                     plan.rank_positions(source), out=fold)
+            blockwise_attention_step(fold, kv[0], kv[1], plan.rank_positions(source))
             if hop < size - 1:
                 kv = handle.send_recv(ring, ring[(me + 1) % size], ring[(me - 1) % size], kv)
         return finalize_attention(fold.state)
