@@ -23,6 +23,7 @@ from .fabric import (  # noqa: F401
     Topology,
     build_mesh,
     comm_time,
+    rank_program,
     run_program,
 )
 from .sharding import (  # noqa: F401

@@ -1,31 +1,29 @@
 """Deterministic simulated multi-rank runtime.
 
-Logical ranks run ordinary Python callables ("rank programs") on worker
-threads, but exactly one rank executes at a time and control passes
-round-robin at communication calls, so observable behavior is identical to
-a single-threaded schedule.  Each rank thread parks on a lock of its own.
-When a rank blocks or finishes, its own thread runs the scheduling step:
-it tries to resolve the rank's group, picks the next ready rank in index
-order (a new sweep from rank 0 at the end) and releases that rank's lock,
-so control passes straight from rank to rank; the caller's thread only
-starts the ranks and waits for the run to end.
+Logical ranks run rank programs written as generators: a program yields
+each collective it issues and receives what the collective delivers
+(``kv = yield handle.send_recv(...)``).  One scheduler on the caller's
+thread steps the ranks, so exactly one rank executes at a time and no OS
+thread is started.  A step runs a rank until it yields a collective or
+returns; the scheduler then tries to resolve the rank's group and steps
+the next ready rank in index order (a new sweep from rank 0 at the end).
 
 Collectives resolve when every participant of the group has arrived with a
 matching call.  A member seen waiting on a group stays so until the group
-resolves, so each group keeps its verified prefix and an arrival resumes
-the check there instead of rescanning the group.  A member waiting on
-another group has not arrived yet: that group may resolve first.  A group
-mismatch is therefore reported only when no collective can resolve; it,
-and a rank finishing while peers wait, is a structured deadlock error
-instead of a hang.  Every off-rank message is logged with its exact byte
-count and link class, and the log is byte-identical across reruns of the
-same program.
+resolves, so the group's first member keeps the verified prefix and an
+arrival resumes the check there instead of rescanning the group.  A member
+waiting on another group has not arrived yet: that group may resolve first.
+A group mismatch is therefore reported only when no collective can resolve;
+it, and a rank finishing while peers wait, is a structured deadlock error
+instead of a hang.  A failed run closes every rank generator it started.
+Every off-rank message is logged with its exact byte count and link class,
+and the log is byte-identical across reruns of the same program.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +40,7 @@ __all__ = [
     "CollectiveMismatchError",
     "build_mesh",
     "run_program",
+    "rank_program",
     "comm_time",
     "payload_nbytes",
 ]
@@ -197,11 +196,22 @@ class DeviceMesh:
         return self.world_size // self.a2a_degree
 
     def a2a_group_of(self, rank: int) -> tuple[int, ...]:
-        base = rank - rank % self.a2a_degree
-        return tuple(range(base, base + self.a2a_degree))
+        return self._a2a_groups[rank // self.a2a_degree]
 
     def p2p_group_of(self, rank: int) -> tuple[int, ...]:
-        return tuple(range(rank % self.a2a_degree, self.world_size, self.a2a_degree))
+        return self._p2p_groups[rank % self.a2a_degree]
+
+    # Each group is built once, so its members share one tuple: the fabric
+    # matches a collective's group by identity before equality.
+    @cached_property
+    def _a2a_groups(self) -> list[tuple[int, ...]]:
+        a2a = self.a2a_degree
+        return [tuple(range(base, base + a2a)) for base in range(0, self.world_size, a2a)]
+
+    @cached_property
+    def _p2p_groups(self) -> list[tuple[int, ...]]:
+        a2a = self.a2a_degree
+        return [tuple(range(first, self.world_size, a2a)) for first in range(a2a)]
 
 
 def build_mesh(topology: Topology, a2a_degree: int = 1, p2p_degree: int = 0) -> DeviceMesh:
@@ -227,10 +237,6 @@ class FaultInjection:
     message_index: int
 
 
-class _Cancelled(BaseException):
-    pass
-
-
 @dataclass
 class _Pending:
     """One rank's side of a collective: its outgoing (dst, payload) edges.
@@ -238,6 +244,8 @@ class _Pending:
     ``source`` is the one rank a p2p or broadcast receives from; an op
     without one receives a list of the values sent to it, in group order.
     ``root`` is the rank a broadcast sends from or a gather collects at.
+    ``seen`` counts the group's members verified waiting on it; only the
+    op of the group's first member keeps it.
     """
 
     kind: str
@@ -246,26 +254,37 @@ class _Pending:
     source: int | None = None
     root: int | None = None
     step: int = 0
+    seen: int = 0
+
+
+class _Return(NamedTuple):
+    """A rank's result, as the last step of its program returns it."""
+
+    value: object
 
 
 class RankHandle:
-    """Communication handle passed to a rank program."""
+    """One rank's communication handle, passed to its rank program.
 
-    __slots__ = ("_rt", "rank", "mesh")
+    The collective methods do not block: each returns the collective for
+    the program to yield, and the ``yield`` evaluates to what the rank
+    receives (``kv = yield handle.send_recv(...)``).
+    """
 
-    def __init__(self, runtime: "_Runtime", rank: int) -> None:
-        self._rt = runtime
+    __slots__ = ("rank", "mesh", "_steps", "_received")
+
+    def __init__(self, mesh: DeviceMesh, rank: int) -> None:
         self.rank = rank
-        self.mesh = runtime.mesh
+        self.mesh = mesh
+        self._steps = None  # the rank's generator, once its program started
+        self._received = None  # what its last collective delivered, until resumed
 
     def send_recv(self, group, dst: int, src: int, payload):
         """Rotate payloads within ``group``: send to dst, receive from src.
 
         The (rank -> dst) edges of the group must form a permutation.
         """
-        return self._rt.block_on(
-            self.rank, _Pending("p2p", tuple(group), [(dst, payload)], source=src)
-        )
+        return _Pending("p2p", tuple(group), [(dst, payload)], source=src)
 
     def all_to_all(self, group, shards):
         """Exchange ``len(group)`` shards; receive shard i-from-rank-j as j-th."""
@@ -275,30 +294,44 @@ class RankHandle:
                 f"rank {self.rank}: all_to_all expects {len(group)} shards, "
                 f"got {len(shards)}"
             )
-        return self._rt.block_on(self.rank, _Pending("a2a", group, list(zip(group, shards))))
+        return _Pending("a2a", group, list(zip(group, shards)))
 
     def all_gather(self, group, value, root: int | None = None):
-        """Collect every member's value, returned in group order.
+        """Collect every member's value, received in group order.
 
         With ``root`` set only the root receives the values (messages of
         kind ``gather``) and every other member gets ``[]``.
         """
         group = tuple(group)
         if root is None:
-            return self._rt.block_on(
-                self.rank, _Pending("all_gather", group, [(m, value) for m in group])
-            )
-        return self._rt.block_on(
-            self.rank, _Pending("gather", group, [(root, value)], root=root)
-        )
+            return _Pending("all_gather", group, [(m, value) for m in group])
+        return _Pending("gather", group, [(root, value)], root=root)
 
     def broadcast(self, group, root: int, value=None):
         """Distribute the root's value to every group member."""
         group = tuple(group)
         edges = [(m, value) for m in group] if self.rank == root else []
-        return self._rt.block_on(
-            self.rank, _Pending("broadcast", group, edges, source=root, root=root)
-        )
+        return _Pending("broadcast", group, edges, source=root, root=root)
+
+
+def rank_program(body):
+    """The program ``run_program`` steps, made from a generator function.
+
+    ``body(handle)`` makes the rank's generator: it yields each collective
+    it issues, receives what the collective delivers, and returns the
+    rank's result.  Each call of the program runs that rank up to its next
+    collective, which it returns, or to its return.
+    """
+    def program(handle):
+        if handle._steps is None:
+            handle._steps = body(handle)
+        received, handle._received = handle._received, None
+        try:
+            return handle._steps.send(received)
+        except StopIteration as stop:
+            return _Return(stop.value)
+
+    return program
 
 
 def _tamper(payload):
@@ -320,7 +353,7 @@ def _tamper(payload):
     return payload
 
 
-_READY, _BLOCKED, _DONE, _FAILED = "ready", "blocked", "done", "failed"
+_READY, _BLOCKED, _DONE = "ready", "blocked", "done"
 
 
 class _Runtime:
@@ -331,93 +364,44 @@ class _Runtime:
         n = mesh.world_size
         self.n = n
         self.state = [_READY] * n
-        self.pending: list[_Pending | None] = [None] * n
+        self.pending: list[_Pending | None] = [None] * n  # set while BLOCKED
         self.steps = [0] * n
         self.outputs: list[object] = [None] * n
-        self.results: dict[int, object] = {}
-        self.verified: dict[tuple[int, ...], int] = {}  # group -> members seen blocked on it
-        self.failure: BaseException | None = None
-        # Each rank thread parks on its own lock, the caller on _caller; all
-        # start held, and releasing one hands control to the thread it parks.
-        self._thread = [threading.Lock() for _ in range(n)]
-        self._caller = threading.Lock()
-        for lock in (*self._thread, self._caller):
-            lock.acquire()
-        self.cancelled = False
-
-    # -- rank-thread side -------------------------------------------------
-
-    def entry(self, rank: int, program) -> None:
-        self._thread[rank].acquire()
-        try:
-            if self.cancelled:
-                raise _Cancelled()
-            self.outputs[rank] = program(RankHandle(self, rank))
-        except _Cancelled:
-            self.state[rank] = _FAILED
-        except BaseException as exc:  # re-raised by run()
-            self.state[rank] = _FAILED
-            self.failure = exc
-            self._caller.release()
-        else:
-            self.state[rank] = _DONE
-            self._switch(rank)
-
-    def block_on(self, rank: int, op: _Pending):
-        if self.cancelled:
-            raise _Cancelled()
-        op.step = self.steps[rank]
-        self.steps[rank] += 1
-        self.pending[rank] = op
-        self.state[rank] = _BLOCKED
-        self._switch(rank)
-        if self.cancelled:
-            raise _Cancelled()
-        self.pending[rank] = None
-        return self.results.pop(rank)
-
-    def _switch(self, rank: int) -> None:
-        """The scheduling step, run by the rank that just blocked or finished:
-        resolve its group, hand control to the next READY rank after it (at
-        the end of a sweep the first from rank 0, a deadlock if none, the
-        caller once every rank is done) and park unless it finished."""
-        state = self.state
-        try:
-            if state[rank] == _BLOCKED:
-                self._try_resolve(self.pending[rank].group)
-            nxt = next((r for r in range(rank + 1, self.n) if state[r] == _READY), None)
-            if nxt is None and state.count(_DONE) < self.n:
-                while _READY not in state:
-                    self._raise_deadlock()  # returns only if a collective resolved
-                nxt = state.index(_READY)
-        except BaseException as exc:  # a mismatch or deadlock ends the run
-            self.failure = exc
-            nxt = None
-        if nxt == rank:
-            return
-        (self._caller if nxt is None else self._thread[nxt]).release()
-        if state[rank] != _DONE:
-            self._thread[rank].acquire()
-
-    # -- caller side ------------------------------------------------------
+        self.handles = [RankHandle(mesh, rank) for rank in range(n)]
 
     def run(self, program):
-        threads = [threading.Thread(target=self.entry, args=(r, program), daemon=True)
-                   for r in range(self.n)]
-        for t in threads:
-            t.start()
-        self._thread[0].release()
+        """Step the ranks from rank 0 until every one has returned.  However
+        the run ends, every rank generator that started is closed."""
+        state = self.state
+        rank = 0
         try:
-            self._caller.acquire()
-        finally:  # cancel every parked rank
-            self.cancelled = True
-            for rank, lock in enumerate(self._thread):
-                if self.state[rank] not in (_DONE, _FAILED):
-                    lock.release()
-            for t in threads:
-                t.join(timeout=5.0)
-        if self.failure is not None:
-            raise self.failure
+            while rank is not None:
+                out = program(self.handles[rank])
+                if type(out) is _Pending:
+                    out.step = self.steps[rank]
+                    self.steps[rank] += 1
+                    self.pending[rank] = out
+                    state[rank] = _BLOCKED
+                    self._try_resolve(out.group)
+                elif type(out) is _Return:
+                    self.outputs[rank] = out.value
+                    state[rank] = _DONE
+                else:
+                    raise FabricError(
+                        f"rank {rank}: a program step returned {type(out).__name__}, not "
+                        "a collective or the rank's result (build it with rank_program)"
+                    )
+                # The next READY rank after this one; at the end of a sweep the
+                # first from rank 0, a deadlock if none, None once all are done.
+                rank = next((r for r in range(rank + 1, self.n) if state[r] == _READY), None)
+                if rank is None and state.count(_DONE) < self.n:
+                    while _READY not in state:
+                        self._raise_deadlock()  # returns only if a collective resolved
+                    rank = state.index(_READY)
+        finally:
+            for handle in self.handles:
+                if handle._steps is not None:
+                    handle._steps.close()
         return self.outputs, self.log
 
     def _raise_deadlock(self) -> None:
@@ -449,23 +433,27 @@ class _Runtime:
 
     def _try_resolve(self, group: tuple[int, ...]) -> None:
         # A member seen blocked on the group stays so until it resolves:
-        # resume the scan after that verified prefix.
-        seen = self.verified.pop(group, 0)
+        # the first member's op keeps that verified prefix and the scan
+        # resumes after it.  A mesh's group is one tuple, matched by identity.
+        pending = self.pending
+        head = pending[group[0]]
+        seen = head.seen if head is not None and (head.group is group or head.group == group) else 0
         while seen < len(group):
             member = group[seen]
-            st = self.state[member]
-            if st == _DONE:
+            if self.state[member] == _DONE:
                 raise CollectiveMismatchError(
                     f"rank {member} finished while ranks {sorted(set(group) - {member})} "
                     f"wait on a collective over group {group}"
                 )
-            if st != _BLOCKED or self.pending[member].group != group:
+            op = pending[member]
+            if op is None or (op.group is not group and op.group != group):
                 # Not arrived yet; a member waiting on another group may
                 # still get here once that group resolves.
-                self.verified[group] = seen
+                if seen:
+                    head.seen = seen
                 return
             seen += 1
-        ops = [self.pending[member] for member in group]
+        ops = [pending[member] for member in group]
         kinds = {op.kind for op in ops}
         if len(kinds) > 1:
             detail = ", ".join(
@@ -499,8 +487,9 @@ class _Runtime:
             for dst, payload in op.edges:
                 received[dst].append(self._deliver(op.step, kind, sender, dst, payload, sizes))
         for m, op in zip(group, ops):
-            self.results[m] = received[m] if op.source is None else received[m][0]
+            self.handles[m]._received = received[m] if op.source is None else received[m][0]
             self.state[m] = _READY
+            pending[m] = None
 
     def _deliver(self, step: int, kind: str, src: int, dst: int, payload,
                  sizes: dict[int, int]):
@@ -524,9 +513,11 @@ class _Runtime:
 
 
 def run_program(mesh: DeviceMesh, program, fault: FaultInjection | None = None):
-    """Run one SPMD program on every rank of the mesh.
+    """Run one SPMD program on every rank of the mesh, on the caller's thread.
 
-    ``program(handle)`` is called once per rank; communication happens through
-    the handle.  Returns (per-rank outputs in rank order, CommLog).
+    ``program(handle)`` is called once per step of a rank: it runs the rank
+    up to the collective it returns or to the rank's result.  Build it with
+    ``rank_program`` from a generator function; communication happens
+    through the handle.  Returns (per-rank outputs in rank order, CommLog).
     """
     return _Runtime(mesh, fault).run(program)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fabric import CommLog, DeviceMesh, Topology, comm_time, run_program
+from .fabric import CommLog, DeviceMesh, Topology, comm_time, rank_program, run_program
 from .numeric import (
     AttentionSpec,
     blockwise_attention_step,
@@ -198,14 +198,14 @@ def sp_prefill(mesh: DeviceMesh, encoded: EncodedSequence, plan: ShardPlan,
         caches = []
         for layer in range(model.num_layers):
             q, k, v = model.qkv(layer, x)
-            out = attention_rank_body(handle, mesh, plan, model.spec, q, k, v,
-                                      kv_replication)
+            out = yield from attention_rank_body(handle, mesh, plan, model.spec, q, k, v,
+                                                 kv_replication)
             x = model.project_out(layer, out) + x
             caches.append(LayerCache(k=k[:, real], v=v[:, real],
                                      positions=positions[real]))
         return x, caches
 
-    outputs, log = run_program(mesh, program)
+    outputs, log = run_program(mesh, rank_program(program))
     hidden = plan.gather([o[0] for o in outputs], axis=0, trim=True)
     state = DecodeState(
         model=model,
@@ -244,7 +244,7 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
             token = int(sampler(model.logits(state.last_hidden)))
         else:
             token = None
-        token = handle.broadcast(group, owner, token)
+        token = yield handle.broadcast(group, owner, token)
         if token == model.eos_token_id:
             return token, None, None
         x = model.embed([token])
@@ -260,15 +260,15 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
             fold = start_fold(q, q_pos)
             if cache.positions.size:
                 blockwise_attention_step(fold, cache.k, cache.v, cache.positions)
-            gathered = handle.all_gather(group, fold.state.as_arrays(), root=owner)
+            gathered = yield handle.all_gather(group, fold.state.as_arrays(), root=owner)
             if rank == owner:
                 merged = merge_attention_partials(
                     *(AttentionState(*arrays) for arrays in gathered))
                 x = model.project_out(layer, finalize_attention(merged)) + x
-            x = handle.broadcast(group, owner, x)
+            x = yield handle.broadcast(group, owner, x)
         return token, x[0], new_caches
 
-    outputs, log = run_program(mesh, program)
+    outputs, log = run_program(mesh, rank_program(program))
     state.comm_log.extend(log)
     token = outputs[0][0]
     if token == model.eos_token_id:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fabric import DeviceMesh, Topology, run_program
+from .fabric import DeviceMesh, Topology, rank_program, run_program
 from .numeric import (
     AttentionSpec,
     blockwise_attention_step,
@@ -188,15 +188,15 @@ class StrategyRun:
 def _ring_pass(handle, ring_group, q, k, v, q_pos, kv_positions_of):
     """Rotate KV around ``ring_group`` and accumulate blockwise attention.
 
+    A generator: it yields each hop's collective and returns the output.
     ``kv_positions_of(member)`` returns the global positions of the KV rows
     originally held by that ring member.  The pass checks ``q`` and its
     positions once, runs its R-1 point-to-point hops, keeping each (k, v)
     tuple the fabric hands over, and then folds the R blocks in hop order
     into one accumulator in place; each received block is still checked.
-    Exchanging first keeps the folds back to back on one thread: a fold run
-    between two thread handoffs starts on a cold working set and costs
-    about 50 % more.  The fold owns the accumulator, so the pass finalizes
-    into it and returns it.
+    Folding each block as its hop delivers it runs the same folds on the
+    same values and measured no faster.  The fold owns the accumulator, so
+    the pass finalizes into it and returns it.
     """
     ring = tuple(ring_group)
     size = len(ring)
@@ -206,7 +206,7 @@ def _ring_pass(handle, ring_group, q, k, v, q_pos, kv_positions_of):
     src = ring[(me - 1) % size]
     blocks = [(k, v)]
     for _ in range(size - 1):
-        blocks.append(handle.send_recv(ring, dst, src, blocks[-1]))
+        blocks.append((yield handle.send_recv(ring, dst, src, blocks[-1])))
     for hop, (k_block, v_block) in enumerate(blocks):
         blockwise_attention_step(fold, k_block, v_block,
                                  kv_positions_of(ring[(me - hop) % size]))
@@ -257,22 +257,24 @@ def _kv_shards(kv: np.ndarray, degree: int, effective_kv: int):
 def attention_rank_body(handle, mesh, plan, spec, q, k, v, kv_replication):
     """One rank of every strategy: head-shard, ring the KV, un-shard.
 
-    The a2a group trades sequence sharding for head sharding, the ring
-    group rotates KV across groups.  At a2a degree 1 this is the plain KV
-    ring over the rank's own plan positions.  Each member's rows in the
-    group's sorted positions are found once: the received shards are
-    written there, one copy each, and the output is routed back from there.
-    Every rank of the group waits in each exchange with its arrays alive,
-    so the segments are dropped before the return exchange.
+    A generator for ``rank_program``: it yields the rank's collectives and
+    returns its output.  The a2a group trades sequence sharding for head
+    sharding, the ring group rotates KV across groups.  At a2a degree 1
+    this is the plain KV ring over the rank's own plan positions.  Each
+    member's rows in the group's sorted positions are found once: the
+    received shards are written there, one copy each, and the output is
+    routed back from there.  Every rank of the group waits in each exchange
+    with its arrays alive, so the segments are dropped before the return
+    exchange.
     """
     a2a_group = mesh.a2a_group_of(handle.rank)
     ring_group = mesh.p2p_group_of(handle.rank)
     degree = len(a2a_group)
     if degree == 1:
-        return _ring_pass(handle, ring_group, q, k, v, plan.rank_positions(handle.rank),
-                          plan.rank_positions)
+        return (yield from _ring_pass(handle, ring_group, q, k, v,
+                                      plan.rank_positions(handle.rank), plan.rank_positions))
     effective_kv = effective_kv_heads(spec, degree, kv_replication)
-    received = handle.all_to_all(a2a_group, list(zip(
+    received = yield handle.all_to_all(a2a_group, list(zip(
         [q[cut] for cut in _head_slices(spec.num_q_heads, degree)],
         _kv_shards(k, degree, effective_kv), _kv_shards(v, degree, effective_kv))))
     positions = plan.group_positions(a2a_group)
@@ -295,12 +297,13 @@ def attention_rank_body(handle, mesh, plan, spec, q, k, v, kv_replication):
     def segment_positions(ring_member):
         return plan.group_positions(mesh.a2a_group_of(ring_member))
 
-    out_seg = _ring_pass(handle, ring_group, *segments, positions, segment_positions)
+    out_seg = yield from _ring_pass(handle, ring_group, *segments, positions,
+                                    segment_positions)
     del segments
     # Route each member's rows back (in its own plan-local order) and restack heads.
     out_shards = [out_seg.take(member_rows, axis=1) for member_rows in rows]
     del out_seg
-    return np.concatenate(handle.all_to_all(a2a_group, out_shards), axis=0)
+    return np.concatenate((yield handle.all_to_all(a2a_group, out_shards)), axis=0)
 
 
 def _check_shards(plan: ShardPlan, shards, name: str, heads: int, head_dim: int) -> None:
@@ -340,12 +343,12 @@ def _run_attention(kind, mesh, plan, q_shards, k_shards, v_shards, spec,
     _check_shards(plan, k_shards, "k", spec.num_kv_heads, spec.head_dim)
     _check_shards(plan, v_shards, "v", spec.num_kv_heads, spec.head_dim)
 
-    def program(handle):
+    def body(handle):
         rank = handle.rank
         return attention_rank_body(handle, mesh, plan, spec, q_shards[rank],
                                    k_shards[rank], v_shards[rank], kv_replication)
 
-    return run_program(mesh, program, fault=fault)
+    return run_program(mesh, rank_program(body), fault=fault)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_leaked_threads():
     """Fail a test that leaves more threads alive than it found: a fabric run
-    must join every rank thread it starts, on success and on failure."""
+    starts no thread, and a test's own helper threads must be joined."""
     before = set(threading.enumerate())
     yield
     leaked = [t.name for t in threading.enumerate() if t not in before]

@@ -20,6 +20,7 @@ from spsim.fabric import (
     build_mesh,
     comm_time,
     payload_nbytes,
+    rank_program,
     run_program,
 )
 from spsim.inference import StubModel, sp_decode_step, sp_prefill
@@ -122,6 +123,9 @@ class TestBuildMesh:
             base = p2p_index * a2a
             assert a2a_group == tuple(range(base, base + a2a))
             assert p2p_group == tuple(a2a_index + i * a2a for i in range(p2p))
+            # Every member of a group shares its one tuple.
+            assert all(mesh.a2a_group_of(m) is a2a_group for m in a2a_group)
+            assert all(mesh.p2p_group_of(m) is p2p_group for m in p2p_group)
 
 
 class TestRunProgram:
@@ -132,9 +136,9 @@ class TestRunProgram:
         def program(h):
             dst = (h.rank + 1) % 8
             src = (h.rank - 1) % 8
-            return h.send_recv(world, dst, src, h.rank)
+            return (yield h.send_recv(world, dst, src, h.rank))
 
-        outputs, log = run_program(mesh, program)
+        outputs, log = run_program(mesh, rank_program(program))
         assert outputs == [(r - 1) % 8 for r in range(8)]
         assert sum(r.kind == "p2p" for r in log.records) == 8
 
@@ -143,9 +147,9 @@ class TestRunProgram:
         group = (0, 1, 2, 3)
 
         def program(h):
-            return h.all_to_all(group, [h.rank * 10 + j for j in range(4)])
+            return (yield h.all_to_all(group, [h.rank * 10 + j for j in range(4)]))
 
-        outputs, _ = run_program(mesh, program)
+        outputs, _ = run_program(mesh, rank_program(program))
         for j in range(4):
             assert outputs[j] == [i * 10 + j for i in range(4)]
 
@@ -153,9 +157,9 @@ class TestRunProgram:
         mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=1))
 
         def program(h):
-            return h.all_to_all((0,), [np.arange(3.0)])
+            return (yield h.all_to_all((0,), [np.arange(3.0)]))
 
-        outputs, log = run_program(mesh, program)
+        outputs, log = run_program(mesh, rank_program(program))
         np.testing.assert_array_equal(outputs[0][0], np.arange(3.0))
         assert len(log) == 0
 
@@ -163,10 +167,10 @@ class TestRunProgram:
         mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=2))
 
         def program(h):
-            return h.all_to_all((0, 1), [h.rank])  # needs 2 shards
+            return (yield h.all_to_all((0, 1), [h.rank]))  # needs 2 shards
 
         with pytest.raises(FabricError, match="shard"):
-            run_program(mesh, program)
+            run_program(mesh, rank_program(program))
 
     def test_all_to_all_byte_accounting_self_shard_free(self):
         # 4 ranks x 1 KiB shards: 12 off-rank messages, 12 KiB total.
@@ -175,9 +179,9 @@ class TestRunProgram:
         shard = np.zeros(128)  # 1 KiB of float64
 
         def program(h):
-            return h.all_to_all(group, [shard] * 4)
+            return (yield h.all_to_all(group, [shard] * 4))
 
-        _, log = run_program(mesh, program)
+        _, log = run_program(mesh, rank_program(program))
         assert sum(r.kind == "a2a" for r in log.records) == 12
         assert log.total_bytes(kind="a2a") == 12 * 1024
         assert log.total_bytes(link="inter") == 0
@@ -187,11 +191,11 @@ class TestRunProgram:
         group = (0, 1, 2)
 
         def program(h):
-            values = h.all_gather(group, h.rank * 10)
-            token = h.broadcast(group, root=2, value=h.rank if h.rank == 2 else None)
+            values = yield h.all_gather(group, h.rank * 10)
+            token = yield h.broadcast(group, root=2, value=h.rank if h.rank == 2 else None)
             return values, token
 
-        outputs, log = run_program(mesh, program)
+        outputs, log = run_program(mesh, rank_program(program))
         assert all(out == ([0, 10, 20], 2) for out in outputs)
         assert sum(r.kind == "all_gather" for r in log.records) == 6
         assert sum(r.kind == "broadcast" for r in log.records) == 2
@@ -201,9 +205,9 @@ class TestRunProgram:
         group = (3, 0, 2, 1)
 
         def program(h):
-            return h.all_gather(group, np.full(h.rank + 1, float(h.rank)), root=2)
+            return (yield h.all_gather(group, np.full(h.rank + 1, float(h.rank)), root=2))
 
-        outputs, log = run_program(mesh, program)
+        outputs, log = run_program(mesh, rank_program(program))
         assert [len(out) for out in outputs] == [0, 0, 4, 0]
         for member, value in zip(group, outputs[2]):
             np.testing.assert_array_equal(value, np.full(member + 1, float(member)))
@@ -219,11 +223,11 @@ class TestRunProgram:
         def program(h):
             root = 0 if h.rank < 2 else 1
             if kind == "broadcast":
-                return h.broadcast(group, root, h.rank)
-            return h.all_gather(group, h.rank, root=root)
+                return (yield h.broadcast(group, root, h.rank))
+            return (yield h.all_gather(group, h.rank, root=root))
 
         with pytest.raises(CollectiveMismatchError, match=rf"{kind} roots disagree: \[0, 1\]"):
-            run_program(mesh, program)
+            run_program(mesh, rank_program(program))
 
     @pytest.mark.parametrize("kind", ["broadcast", "gather"])
     def test_rooted_collective_root_must_be_in_group(self, kind):
@@ -231,11 +235,11 @@ class TestRunProgram:
 
         def program(h):
             if kind == "broadcast":
-                return h.broadcast((0, 1), 2, h.rank)
-            return h.all_gather((0, 1), h.rank, root=2)
+                return (yield h.broadcast((0, 1), 2, h.rank))
+            return (yield h.all_gather((0, 1), h.rank, root=2))
 
         with pytest.raises(FabricError, match=rf"{kind} root 2 not in group \(0, 1\)") as err:
-            run_program(mesh, program)
+            run_program(mesh, rank_program(program))
         assert not isinstance(err.value, CollectiveMismatchError)
 
     def test_collective_mismatch_names_rank_and_step(self):
@@ -244,13 +248,13 @@ class TestRunProgram:
 
         def program(h):
             for _ in range(3):
-                h.all_gather(group, h.rank)  # steps 0..2
+                yield h.all_gather(group, h.rank)  # steps 0..2
             if h.rank == 2:
-                return h.broadcast(group, root=0)  # mismatched kind at step 3
-            return h.all_gather(group, h.rank)
+                return (yield h.broadcast(group, root=0))  # mismatched kind at step 3
+            return (yield h.all_gather(group, h.rank))
 
         with pytest.raises(CollectiveMismatchError, match="step 3") as err:
-            run_program(mesh, program)
+            run_program(mesh, rank_program(program))
         assert "rank 2" in str(err.value)
 
     def test_finished_rank_while_others_wait_is_deadlock(self):
@@ -259,10 +263,10 @@ class TestRunProgram:
         def program(h):
             if h.rank == 0:
                 return None
-            return h.all_gather((0, 1), h.rank)
+            return (yield h.all_gather((0, 1), h.rank))
 
         with pytest.raises(DeadlockError):
-            run_program(mesh, program)
+            run_program(mesh, rank_program(program))
 
     def test_rank_finishing_after_peer_blocked_is_deadlock(self):
         # rank 0 blocks first, then rank 1 runs to completion: the miss is
@@ -271,11 +275,11 @@ class TestRunProgram:
 
         def program(h):
             if h.rank == 0:
-                return h.all_gather((0, 1), h.rank)
+                return (yield h.all_gather((0, 1), h.rank))
             return None
 
         with pytest.raises(DeadlockError, match="finished"):
-            run_program(mesh, program)
+            run_program(mesh, rank_program(program))
 
     def test_group_reused_after_a_partial_match(self):
         # A singleton collective delays a rank by one sweep.  Rank 0 is late
@@ -286,13 +290,13 @@ class TestRunProgram:
 
         def program(h):
             if h.rank == 0:
-                h.all_gather((0,), None)
-            first = h.all_gather(group, (h.rank, 0))
+                yield h.all_gather((0,), None)
+            first = yield h.all_gather(group, (h.rank, 0))
             if h.rank == 1:
-                h.all_gather((1,), None)
-            return first, h.all_gather(group, (h.rank, 1))
+                yield h.all_gather((1,), None)
+            return first, (yield h.all_gather(group, (h.rank, 1)))
 
-        outputs, log = run_program(mesh, program)
+        outputs, log = run_program(mesh, rank_program(program))
         assert outputs == [([(1, 0), (0, 0)], [(1, 1), (0, 1)])] * 2
         assert len(log) == 4
 
@@ -304,12 +308,12 @@ class TestRunProgram:
         def program(h):
             out = []
             if h.rank in (1, 3):
-                out.append(h.all_gather((1, 3), h.rank))
+                out.append((yield h.all_gather((1, 3), h.rank)))
             if h.rank in (1, 2):
-                out.append(h.all_gather((1, 2), h.rank))
+                out.append((yield h.all_gather((1, 2), h.rank)))
             return out
 
-        outputs, log = run_program(mesh, program)
+        outputs, log = run_program(mesh, rank_program(program))
         assert outputs == [[], [[1, 3], [1, 2]], [[1, 2]], [[1, 3]]]
         assert len(log) == 4
 
@@ -318,21 +322,21 @@ class TestRunProgram:
         groups = [(0, 1), (1, 2), (0, 2)]
 
         def program(h):
-            return h.all_gather(groups[h.rank], h.rank)
+            return (yield h.all_gather(groups[h.rank], h.rank))
 
         with pytest.raises(CollectiveMismatchError,
                            match=r"group mismatch at step 0: rank 1 joined \(1, 2\) "
                                  r"while peers use \(0, 1\)"):
-            run_program(mesh, program)
+            run_program(mesh, rank_program(program))
 
     def test_p2p_requires_permutation(self):
         mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=2))
 
         def program(h):
-            return h.send_recv((0, 1), dst=0, src=1 - h.rank, payload=h.rank)
+            return (yield h.send_recv((0, 1), dst=0, src=1 - h.rank, payload=h.rank))
 
         with pytest.raises(CollectiveMismatchError, match="permutation"):
-            run_program(mesh, program)
+            run_program(mesh, rank_program(program))
 
     def test_rerun_produces_identical_comm_log(self):
         mesh = build_mesh(two_node_topology(), a2a_degree=2, p2p_degree=4)
@@ -341,15 +345,15 @@ class TestRunProgram:
             a2a = h.mesh.a2a_group_of(h.rank)
             payload = np.full(16, float(h.rank))
             shards = [payload] * len(a2a)
-            received = h.all_to_all(a2a, shards)
+            received = yield h.all_to_all(a2a, shards)
             ring = h.mesh.p2p_group_of(h.rank)
             me = ring.index(h.rank)
-            out = h.send_recv(ring, ring[(me + 1) % len(ring)],
-                              ring[(me - 1) % len(ring)], received[0])
+            out = yield h.send_recv(ring, ring[(me + 1) % len(ring)],
+                                    ring[(me - 1) % len(ring)], received[0])
             return float(np.sum(out))
 
-        out1, log1 = run_program(mesh, program)
-        out2, log2 = run_program(mesh, program)
+        out1, log1 = run_program(mesh, rank_program(program))
+        out2, log2 = run_program(mesh, rank_program(program))
         assert out1 == out2
         assert log1.to_rows() == log2.to_rows()
 
@@ -358,13 +362,13 @@ class TestRunProgram:
 
         def program(h):
             group = h.mesh.a2a_group_of(h.rank)
-            h.all_to_all(group, [np.ones(h.rank + 1) for _ in group])
+            yield h.all_to_all(group, [np.ones(h.rank + 1) for _ in group])
             ring = h.mesh.p2p_group_of(h.rank)
             me = ring.index(h.rank)
-            h.send_recv(ring, ring[(me + 1) % 2], ring[(me - 1) % 2], np.ones(4))
+            yield h.send_recv(ring, ring[(me + 1) % 2], ring[(me - 1) % 2], np.ones(4))
             return None
 
-        _, log = run_program(mesh, program)
+        _, log = run_program(mesh, rank_program(program))
         for link in ("intra", "inter"):
             sent = {}
             received = {}
@@ -390,7 +394,7 @@ class TestRunProgram:
                 seen = counter[0]
                 time.sleep(0)
                 counter[0] = seen + 1
-                value = h.send_recv(group, (h.rank + 1) % world, (h.rank - 1) % world, value)
+                value = yield h.send_recv(group, (h.rank + 1) % world, (h.rank - 1) % world, value)
             return value
 
         interval = sys.getswitchinterval()
@@ -410,19 +414,76 @@ class TestRunProgram:
             if h.rank == 1:
                 raise RuntimeError("boom on rank 1")
             return h.rank
+            yield  # unreachable: makes the program a generator
 
         with pytest.raises(RuntimeError, match="boom on rank 1"):
-            run_program(mesh, program)
+            run_program(mesh, rank_program(program))
+
+    @pytest.mark.parametrize("failure,error,message", [
+        ("exception", RuntimeError, "boom on rank 3"),
+        ("mismatch", CollectiveMismatchError, "collective mismatch"),
+        ("deadlock", DeadlockError, "finished while"),
+    ])
+    def test_failed_run_closes_every_started_generator(self, failure, error, message):
+        # Ranks 0-2 wait on an all_gather that rank 3 raises out of, answers
+        # with a broadcast, or leaves by returning.
+        mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=4))
+        group = (0, 1, 2, 3)
+        closed = []
+
+        def program(h):
+            try:
+                if h.rank < 3:
+                    return (yield h.all_gather(group, h.rank))
+                if failure == "exception":
+                    raise RuntimeError("boom on rank 3")
+                if failure == "mismatch":
+                    return (yield h.broadcast(group, root=0))
+                return None
+            finally:
+                closed.append(h.rank)
+
+        with pytest.raises(error, match=message):
+            run_program(mesh, rank_program(program))
+        assert sorted(closed) == [0, 1, 2, 3]
+
+    def test_a_run_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"a fabric run started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        mesh = build_mesh(two_node_topology(), 2, 4)
+        caller = threading.get_ident()
+        threads = []
+
+        def program(h):
+            threads.append(threading.get_ident())
+            ring = h.mesh.p2p_group_of(h.rank)
+            me = ring.index(h.rank)
+            value = yield h.send_recv(ring, ring[(me + 1) % 4], ring[(me - 1) % 4], h.rank)
+            threads.append(threading.get_ident())
+            return value
+
+        outputs, _ = run_program(mesh, rank_program(program))
+        assert outputs == [(r - 2) % 8 for r in range(8)]
+        assert threads == [caller] * 16
+
+    def test_a_step_must_return_a_collective_or_the_result(self):
+        mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=2))
+        with pytest.raises(FabricError, match="rank 0: a program step returned int"):
+            run_program(mesh, lambda h: h.rank)  # not built with rank_program
+        with pytest.raises(FabricError, match="rank 0: a program step returned str"):
+            run_program(mesh, rank_program(lambda h: (yield "not a collective")))
 
     def test_fault_injection_corrupts_one_message(self):
         mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=2))
         group = (0, 1)
 
         def program(h):
-            return h.send_recv(group, 1 - h.rank, 1 - h.rank, np.ones(4))
+            return (yield h.send_recv(group, 1 - h.rank, 1 - h.rank, np.ones(4)))
 
-        clean, _ = run_program(mesh, program)
-        dirty, log = run_program(mesh, program, fault=FaultInjection(message_index=0))
+        clean, _ = run_program(mesh, rank_program(program))
+        dirty, log = run_program(mesh, rank_program(program), fault=FaultInjection(message_index=0))
         assert np.array_equal(clean[1], np.ones(4))
         assert np.array_equal(dirty[1], -np.ones(4))
         assert len(log.tampered) == 1
@@ -546,7 +607,7 @@ def _run_bounded(mesh, program, timeout=10.0):
 
     def target():
         try:
-            box["result"] = run_program(mesh, program)
+            box["result"] = run_program(mesh, rank_program(program))
         except BaseException as exc:
             box["error"] = exc
 
@@ -565,13 +626,20 @@ class TestFabricProperty:
     def test_matched_programs_complete(self, program):
         world, steps = program
 
-        def rank_program(h):
-            return [_issue(h, *_op_of(steps, s, h.rank), s) for s in range(len(steps))]
+        closed = []
 
-        threads_before = threading.active_count()
+        def body(h):
+            try:
+                received = []
+                for s in range(len(steps)):
+                    received.append((yield _issue(h, *_op_of(steps, s, h.rank), s)))
+                return received
+            finally:
+                closed.append(h.rank)
+
         outputs, log = _run_bounded(build_mesh(Topology(num_nodes=1, gpus_per_node=world)),
-                                    rank_program)
-        assert threading.active_count() == threads_before
+                                    body)
+        assert sorted(closed) == list(range(world))
         for rank in range(world):
             assert outputs[rank] == [_expected(*_op_of(steps, s, rank), s, rank)
                                      for s in range(len(steps))]
@@ -591,27 +659,33 @@ class TestFabricProperty:
             steps = list(steps)
             steps[step] = [("p2p", group, 1) if op[1] == group else op for op in steps[step]]
 
-        def rank_program(h):
-            received = []
-            for s in range(len(steps)):
-                kind, group, arg = _op_of(steps, s, h.rank)
-                src = None
-                if (s, h.rank) == (step, victim):
-                    if fault == "finish":
-                        return received
-                    if fault == "kind":
-                        kind = KINDS[(KINDS.index(kind) + 1) % len(KINDS)]
-                    elif fault == "group":
-                        group = group[::-1]
-                    else:  # the rank two back (itself in a pair), not the sender
-                        src = group[(group.index(h.rank) - 2) % len(group)]
-                received.append(_issue(h, kind, group, arg, s, src))
-            return received
+        started, closed = [], []
 
-        threads_before = threading.active_count()
+        def body(h):
+            started.append(h.rank)
+            try:
+                received = []
+                for s in range(len(steps)):
+                    kind, group, arg = _op_of(steps, s, h.rank)
+                    src = None
+                    if (s, h.rank) == (step, victim):
+                        if fault == "finish":
+                            return received
+                        if fault == "kind":
+                            kind = KINDS[(KINDS.index(kind) + 1) % len(KINDS)]
+                        elif fault == "group":
+                            group = group[::-1]
+                        else:  # the rank two back (itself in a pair), not the sender
+                            src = group[(group.index(h.rank) - 2) % len(group)]
+                    received.append((yield _issue(h, kind, group, arg, s, src)))
+                return received
+            finally:
+                closed.append(h.rank)
+
         with pytest.raises(FabricError):
-            _run_bounded(build_mesh(Topology(num_nodes=1, gpus_per_node=world)), rank_program)
-        assert threading.active_count() == threads_before
+            _run_bounded(build_mesh(Topology(num_nodes=1, gpus_per_node=world)), body)
+        # The failed run closed every rank generator that had started.
+        assert sorted(closed) == sorted(started)
 
 
 class TestPayloadBytes:
@@ -631,20 +705,22 @@ class TestPayloadBytes:
         def payload(rank):
             return (np.zeros((rank + 1, 3)), rank, [np.ones(2), None])
 
-        _, log = run_program(mesh, lambda h: h.all_gather((0, 1, 2, 3), payload(h.rank)))
+        _, log = run_program(mesh, rank_program(
+            lambda h: (yield h.all_gather((0, 1, 2, 3), payload(h.rank)))))
         assert len(log) == 12
         for record in log.records:
             assert record.nbytes == payload_nbytes(payload(record.src))
         # An all_to_all sends a different payload on each edge.
-        _, log = run_program(mesh, lambda h: h.all_to_all(
-            (0, 1, 2, 3), [np.zeros(h.rank + dst) for dst in range(4)]))
+        _, log = run_program(mesh, rank_program(lambda h: (yield h.all_to_all(
+            (0, 1, 2, 3), [np.zeros(h.rank + dst) for dst in range(4)]))))
         assert [(r.src, r.dst, r.nbytes) for r in log.records] == [
             (src, dst, 8 * (src + dst)) for src in range(4) for dst in range(4) if src != dst]
 
     def test_unsizable_payload_raises_type_error_once_it_leaves_its_rank(self):
         mesh = build_mesh(two_node_topology(1), 1, 2)
         with pytest.raises(TypeError, match="cannot size payload of type <class 'object'>"):
-            run_program(mesh, lambda h: h.all_gather((0, 1), object()))
+            run_program(mesh, rank_program(lambda h: (yield h.all_gather((0, 1), object()))))
         # A value kept on its own rank is never sized.
-        outputs, log = run_program(mesh, lambda h: h.all_gather((h.rank,), object()))
+        outputs, log = run_program(mesh, rank_program(
+            lambda h: (yield h.all_gather((h.rank,), object()))))
         assert len(log) == 0 and all(len(o) == 1 for o in outputs)

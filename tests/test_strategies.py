@@ -1,6 +1,5 @@
 """Sequence-parallel attention strategies, each checked against the oracle."""
 
-import threading
 import tracemalloc
 from collections import Counter
 
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 
 from spsim import perf
-from spsim.fabric import Topology, build_mesh, run_program
+from spsim.fabric import Topology, build_mesh, rank_program, run_program
 from spsim.numeric import (
     AttentionSpec,
     blockwise_attention_step,
@@ -424,10 +423,11 @@ def fold_as_it_arrives(plan, q_shards, k_shards, v_shards):
             source = ring[(me - hop) % size]
             blockwise_attention_step(fold, kv[0], kv[1], plan.rank_positions(source))
             if hop < size - 1:
-                kv = handle.send_recv(ring, ring[(me + 1) % size], ring[(me - 1) % size], kv)
+                kv = yield handle.send_recv(ring, ring[(me + 1) % size], ring[(me - 1) % size],
+                                            kv)
         return finalize_attention(fold.state)
 
-    return program
+    return rank_program(program)
 
 
 class TestExchangeThenFold:
@@ -444,22 +444,34 @@ class TestExchangeThenFold:
 
 
 class TestNonFiniteInputs:
-    """A bad block fails the run with the check's own error and leaves no
-    fabric thread behind."""
+    """A bad block fails the run with the check's own error and closes
+    every rank generator the run started."""
 
     @pytest.mark.parametrize("kind,a2a,p2p", [("zigzag_ring", 1, 8), ("two_d", 2, 4)])
     @pytest.mark.parametrize("tensor,message", [
         ("k", "k_block contains non-finite entries"),
         ("q", "q_block contains non-finite entries"),
     ])
-    def test_nan_shard_raises(self, kind, a2a, p2p, tensor, message):
+    def test_nan_shard_raises(self, monkeypatch, kind, a2a, p2p, tensor, message):
+        import spsim.strategies as strategies
+
+        started, closed = [], []
+        original = strategies.attention_rank_body
+
+        def watched(handle, *args):
+            started.append(handle.rank)
+            try:
+                return (yield from original(handle, *args))
+            finally:
+                closed.append(handle.rank)
+
+        monkeypatch.setattr(strategies, "attention_rank_body", watched)
         q, k, v = random_qkv(np.random.default_rng(19), SPEC, 64)
         {"q": q, "k": k}[tensor][1, 37, 3] = np.nan  # in one rank's shard
         config = StrategyConfig(kind, a2a_degree=a2a, p2p_degree=p2p)
-        threads_before = threading.active_count()
         with pytest.raises(ValueError, match=message):
             execute_strategy(sp_mesh(8, a2a), config, SPEC, q, k, v)
-        assert threading.active_count() == threads_before
+        assert len(started) > 1 and sorted(closed) == sorted(started)
 
 
 # How an a2a group's KV head shards lie over the KV heads.
