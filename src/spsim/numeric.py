@@ -9,14 +9,18 @@ equivalence checks meaningful.
 A ring pass folds every KV block it receives into one accumulator in place:
 ``start_fold`` checks the query block once and owns the accumulator (a
 fresh one, or a copy of a given state), ``blockwise_attention_step(fold,
-...)`` checks only the KV block and folds it into ``fold.state``, and
-``finalize_attention`` normalizes a state in place.
+...)`` checks the KV blocks and folds them into ``fold.state``, and
+``finalize_attention`` normalizes a state in place.  One step call takes a
+pass's blocks as lists and folds them in runs that share one visible window
+(see ``blockwise_attention_step``), bit for bit as one call per block would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -82,9 +86,11 @@ class AttentionState:
 
 def init_attention_state(num_heads: int, num_queries: int, head_dim: int) -> AttentionState:
     """Empty accumulator: no keys visited yet for any query row."""
+    running_max = np.empty((num_heads, num_queries))
+    running_max.fill(-np.inf)  # np.full's Python wrapper costs more than the fill
     return AttentionState(
         partial_output=np.zeros((num_heads, num_queries, head_dim)),
-        running_max=np.full((num_heads, num_queries), -np.inf),
+        running_max=running_max,
         running_denominator=np.zeros((num_heads, num_queries)),
     )
 
@@ -93,7 +99,8 @@ def _check_array(x, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-d, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    # count_nonzero skips the reduction set-up that .all() pays per call.
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -174,7 +181,6 @@ class AttentionFold:
     q_span: tuple[int, int]  # least and greatest query position
     state: AttentionState
     fresh: bool  # no key folded yet, so every running max is -inf
-    all_seen: bool = False  # every row has seen a key: no running max is -inf
 
 
 def start_fold(q_block, q_positions, state: AttentionState | None = None) -> AttentionFold:
@@ -187,7 +193,8 @@ def start_fold(q_block, q_positions, state: AttentionState | None = None) -> Att
             f"q_block shape {q.shape}"
         )
     q_pos = _check_positions(q_positions, "q_positions", q.shape[1])
-    span = (int(q_pos.min()), int(q_pos.max())) if q_pos.size else (0, -1)
+    # argmin / argmax skip the reduction set-up that min / max pay per call.
+    span = (int(q_pos[q_pos.argmin()]), int(q_pos[q_pos.argmax()])) if q_pos.size else (0, -1)
     fresh = state is None
     state = (init_attention_state(*q.shape) if fresh
              else AttentionState(*(a.copy() for a in state.as_arrays())))
@@ -196,93 +203,144 @@ def start_fold(q_block, q_positions, state: AttentionState | None = None) -> Att
 
 def blockwise_attention_step(fold: AttentionFold, k_block, v_block,
                              kv_positions) -> AttentionState:
-    """Fold one KV block into ``fold.state`` in place and return that state
-    (one ring hop's local compute).
+    """Fold KV blocks into ``fold.state`` in place and return that state.
 
-    Safe-softmax update: the running maximum absorbs the block's row maxima
-    and previous contributions are rescaled by exp(old_max - new_max).
-    A block whose keys are all causally masked for a row leaves that row's
-    state unchanged.  Only the KV block is checked; ``start_fold`` checked
-    the query block.
+    ``k_block``, ``v_block`` and ``kv_positions`` are one block (3-d k and v
+    and their positions), which folds as a run of one, or three lists of
+    blocks, folded in list order: a ring pass folds its R blocks in hop
+    order in one call.
+    Every KV block is checked; ``start_fold`` checked the query block.
 
-    Provably-zero work is skipped.  Bitwise exact: the rescale on a fresh
+    Safe-softmax update: the running maximum absorbs each block's row maxima
+    and earlier contributions are rescaled by exp(old_max - new_max).  A
+    block whose keys are all causally masked for a row leaves that row's
+    state unchanged.
+
+    Each block's visible window is cut first: leading query rows before its
+    first key and trailing keys after the last query see nothing, and a
+    block of only future keys is skipped.  Consecutive blocks with the same
+    window (the same rows cut and the same kept k shape) form a run.  A
+    run's scores are one stacked buffer that each block's QK matmul writes
+    into; the mask, the row maxima, their running maximum over the run's
+    blocks, the exponentials, the row sums and the rescale factors are each
+    computed once per run.  Only the P.V matmul and the multiply-add rescale
+    of output and denominator run per block, in list order.  Every block
+    keeps the matmul shapes and summation lengths of folding it alone, so a
+    list folds bit for bit as the chain of its single-block folds.
+
+    Provably-zero work is skipped, bitwise exact: the rescale on a fresh
     fold's first visible block (zeros times 0) and its add to the zero
-    accumulator where that is contiguous, the -inf guard once every
-    row has seen a key, the causal mask on a block every row fully sees, and
-    rows that see no key of the block.  Keys that no row sees weigh exactly
-    0, but dropping them shortens the matmul and sum, which can move last bits.
+    accumulator where that is contiguous, the causal mask and the -inf
+    guard on a run every row fully sees, and rows that see no key of a
+    block.  Keys that no row sees weigh exactly 0, but dropping them
+    shortens the matmul and sum, which can move last bits.
     """
-    k = _check_array(k_block, "k_block", 3)
-    v = _check_array(v_block, "v_block", 3)
-    if v.shape != k.shape:
-        raise ValueError(f"v_block shape {v.shape} does not match k_block {k.shape}")
-    q = fold.q
-    heads, n_q, head_dim = q.shape
-    kv_heads, n_k = k.shape[:2]
-    if heads % kv_heads != 0:
-        raise ValueError(f"kv head count {kv_heads} does not divide q head count {heads}")
-    kv_pos = _check_positions(kv_positions, "kv_positions", n_k)
+    if isinstance(k_block, list):
+        if not len(k_block) == len(v_block) == len(kv_positions):
+            raise ValueError(
+                f"{len(k_block)} k blocks, {len(v_block)} v blocks and "
+                f"{len(kv_positions)} position lists do not match"
+            )
+        blocks = zip(k_block, v_block, kv_positions)
+    else:
+        blocks = ((k_block, v_block, kv_positions),)
+    heads, n_q = fold.q.shape[:2]
     q_pos, (q_lo, q_hi) = fold.q_positions, fold.q_span
-    if n_k == 0 or n_q == 0:
-        return fold.state
-    kv_lo = np.minimum.reduce(kv_pos)
-    # Every key lies after every query: the update would rescale by 1 and
-    # add 0, so skip the arithmetic.
-    if kv_lo > q_hi:
-        return fold.state
-    kv_hi = np.maximum.reduce(kv_pos)
-    output, running_max, denominator = fold.state.as_arrays()
-    # Unless some key lies after the first query, every row sees every key
-    # (each decode block, each earlier block of a contiguous ring): no mask
-    # and no trimming, and afterwards every row has seen a key.
-    masked = kv_hi > q_lo
-    if masked:
-        # Leading rows before the first key and trailing keys after the last
-        # query see nothing.
-        first = 0 if kv_lo <= q_lo else int((q_pos >= kv_lo).argmax())
-        if first:
-            n_q -= first
-            q, q_pos = q[:, first:], q_pos[first:]
-            output, running_max, denominator = (
-                output[:, first:], running_max[:, first:], denominator[:, first:])
-        if kv_hi > q_hi:
-            n_k -= int((kv_pos[::-1] <= q_hi).argmax())
-            k, v, kv_pos = k[:, :n_k], v[:, :n_k], kv_pos[:n_k]
-    # Each KV head's query group is stacked into one matrix, as in the oracle.
-    group = heads // kv_heads
-    scores = np.matmul(q.reshape(kv_heads, group * n_q, head_dim), k.transpose(0, 2, 1))
-    scores = scores.reshape(heads, n_q, n_k)
-    scores *= 1.0 / math.sqrt(head_dim)
-    if masked:
-        np.copyto(scores, -np.inf, where=kv_pos > q_pos[:, np.newaxis])
-    block_max = np.maximum.reduce(scores, axis=-1)  # -inf on rows fully masked here
-    new_max = block_max if fold.fresh else np.maximum(running_max, block_max)
-    if fold.all_seen or not masked:
-        safe_max = new_max
-        fold.all_seen = True
-    else:
-        # Shift by 0 instead of -inf for rows that have still seen no key,
-        # so the exponentials below evaluate to exact 0.0 rather than nan.
-        unseen = new_max == -np.inf
-        safe_max = np.where(unseen, 0.0, new_max)
-        fold.all_seen = first == 0 and not unseen.any()
-    scores -= safe_max[..., np.newaxis]
-    weights = np.exp(scores, out=scores)
-    stacked = weights.reshape(kv_heads, group * n_q, n_k)
-    if fold.fresh and output.flags.c_contiguous:
-        # The accumulator is all +0.0, and +0.0 + x == x for every x a matmul
-        # returns (its sums start from +0.0, so never -0.0): write in place.
-        np.matmul(stacked, v, out=output.reshape(kv_heads, group * n_q, head_dim))
-    else:
-        if not fold.fresh:
-            rescale = np.exp(running_max - safe_max)
-            output *= rescale[..., np.newaxis]
-            denominator *= rescale
-        output += np.matmul(stacked, v).reshape(heads, n_q, head_dim)
-    fold.fresh = False
-    denominator += np.add.reduce(weights, axis=-1)
-    running_max[...] = new_max
+    visible = []  # (window, k, v, kv positions, masked) of each block some row sees
+    for k, v, kv_pos in blocks:
+        k = _check_array(k, "k_block", 3)
+        v = _check_array(v, "v_block", 3)
+        if v.shape != k.shape:
+            raise ValueError(f"v_block shape {v.shape} does not match k_block {k.shape}")
+        kv_heads, n_k = k.shape[:2]
+        if heads % kv_heads != 0:
+            raise ValueError(
+                f"kv head count {kv_heads} does not divide q head count {heads}")
+        kv_pos = _check_positions(kv_pos, "kv_positions", n_k)
+        if n_k == 0 or n_q == 0:
+            continue
+        kv_lo = kv_pos[kv_pos.argmin()]  # argmin skips min's reduction set-up
+        # Every key lies after every query: the update would rescale by 1 and
+        # add 0, so skip the arithmetic.
+        if kv_lo > q_hi:
+            continue
+        kv_hi = kv_pos[kv_pos.argmax()]
+        # Unless some key lies after the first query, every row sees every
+        # key (each decode block, each earlier block of a contiguous ring):
+        # no mask and no cut.
+        masked = kv_hi > q_lo
+        first = 0
+        if masked:
+            if kv_lo > q_lo:
+                first = int((q_pos >= kv_lo).argmax())
+            if kv_hi > q_hi:
+                n_k -= int((kv_pos[::-1] <= q_hi).argmax())
+                k, v, kv_pos = k[:, :n_k], v[:, :n_k], kv_pos[:n_k]
+        visible.append(((first, k.shape), k, v, kv_pos, masked))
+    for (first, _), run in groupby(visible, key=itemgetter(0)):
+        _, ks, vs, kv_positions, masked = zip(*run)
+        _fold_run(fold, first, ks, vs, kv_positions, any(masked))
     return fold.state
+
+
+def _fold_run(fold: AttentionFold, first: int, ks, vs, kv_positions, masked: bool) -> None:
+    """Fold a run of blocks that share one visible window (query rows from
+    ``first`` on, kept k blocks of one shape) in order; ``masked`` is set
+    when some key of the run lies after some query."""
+    q, q_pos = fold.q, fold.q_positions
+    output, running_max, denominator = fold.state.as_arrays()
+    if first:
+        q, q_pos = q[:, first:], q_pos[first:]
+        output, running_max, denominator = (
+            output[:, first:], running_max[:, first:], denominator[:, first:])
+    heads, n_q, head_dim = q.shape
+    kv_heads, n_k = ks[0].shape[:2]
+    # Each KV head's query group is stacked into one matrix, as in the oracle.
+    rows = heads // kv_heads * n_q
+    q_rows = q.reshape(kv_heads, rows, head_dim)
+    hops = len(ks)
+    scores = np.empty((hops, kv_heads, rows, n_k))
+    for hop, k in enumerate(ks):
+        np.matmul(q_rows, k.transpose(0, 2, 1), out=scores[hop])
+    scores *= 1.0 / math.sqrt(head_dim)
+    by_head = scores.reshape(hops, heads, n_q, n_k)
+    if masked:
+        np.copyto(by_head, -np.inf, where=np.array(kv_positions)[:, np.newaxis, np.newaxis]
+                  > q_pos[:, np.newaxis])
+    # new_max[hop] is the running max after that hop: -inf on rows that have
+    # seen no key yet.
+    new_max = np.maximum.reduce(by_head, axis=-1)
+    if hops > 1:
+        np.maximum.accumulate(new_max, axis=0, out=new_max)
+    fresh = fold.fresh
+    if not fresh:
+        np.maximum(new_max, running_max, out=new_max)
+    # Shift by 0 instead of -inf for rows that have still seen no key, so
+    # the exponentials below evaluate to exact 0.0 rather than nan.  In a
+    # run with no mask every row sees every key.
+    safe_max = np.where(new_max == -np.inf, 0.0, new_max) if masked else new_max
+    by_head -= safe_max[..., np.newaxis]
+    np.exp(scores, out=scores)
+    sums = np.add.reduce(by_head, axis=-1)
+    # A fresh fold's first block is written, not rescaled.
+    if hops > fresh:
+        previous = (new_max[:-1] if fresh
+                    else np.concatenate((running_max[np.newaxis], new_max[:-1])))
+        rescale = np.exp(previous - safe_max[fresh:])
+    for hop, v in enumerate(vs):
+        if fold.fresh and output.flags.c_contiguous:
+            # The accumulator is all +0.0, and +0.0 + x == x for every x a
+            # matmul returns (its sums start from +0.0, so never -0.0):
+            # write in place.
+            np.matmul(scores[hop], v, out=output.reshape(kv_heads, rows, head_dim))
+        else:
+            if not fold.fresh:
+                output *= rescale[hop - fresh, ..., np.newaxis]
+                denominator *= rescale[hop - fresh]
+            output += np.matmul(scores[hop], v).reshape(heads, n_q, head_dim)
+        fold.fresh = False
+        denominator += sums[hop]
+    running_max[...] = new_max[-1]
 
 
 def merge_attention_partials(*states: AttentionState) -> AttentionState:

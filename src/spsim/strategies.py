@@ -193,10 +193,9 @@ def _ring_pass(handle, ring_group, q, k, v, q_pos, kv_positions_of):
     originally held by that ring member.  The pass checks ``q`` and its
     positions once, runs its R-1 point-to-point hops, keeping each (k, v)
     tuple the fabric hands over, and then folds the R blocks in hop order
-    into one accumulator in place; each received block is still checked.
-    Folding each block as its hop delivers it runs the same folds on the
-    same values and measured no faster.  The fold owns the accumulator, so
-    the pass finalizes into it and returns it.
+    into one accumulator in place, in one ``blockwise_attention_step`` call
+    that still checks every block.  The fold owns the accumulator, so the
+    pass finalizes into it and returns it.
     """
     ring = tuple(ring_group)
     size = len(ring)
@@ -204,12 +203,14 @@ def _ring_pass(handle, ring_group, q, k, v, q_pos, kv_positions_of):
     fold = start_fold(q, q_pos)
     dst = ring[(me + 1) % size]
     src = ring[(me - 1) % size]
-    blocks = [(k, v)]
+    kv = (k, v)
+    k_blocks, v_blocks = [k], [v]
     for _ in range(size - 1):
-        blocks.append((yield handle.send_recv(ring, dst, src, blocks[-1])))
-    for hop, (k_block, v_block) in enumerate(blocks):
-        blockwise_attention_step(fold, k_block, v_block,
-                                 kv_positions_of(ring[(me - hop) % size]))
+        kv = yield handle.send_recv(ring, dst, src, kv)
+        k_blocks.append(kv[0])
+        v_blocks.append(kv[1])
+    blockwise_attention_step(fold, k_blocks, v_blocks,
+                             [kv_positions_of(ring[(me - hop) % size]) for hop in range(size)])
     return finalize_attention(fold.state)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spsim.numeric as numeric
 from spsim.fabric import Topology, build_mesh
 from spsim.numeric import (
     AttentionSpec,
@@ -18,6 +19,7 @@ from spsim.numeric import (
     reference_attention,
     start_fold,
 )
+from spsim.sharding import shard_plan
 from spsim.strategies import STRATEGY_KINDS, execute_strategy, resolve_strategy
 
 
@@ -558,3 +560,79 @@ class TestFoldProperty:
         {"q": q, "k": k}[tensor][head, position, 0] = np.nan
         with pytest.raises(ValueError, match=f"{tensor}_block contains non-finite entries"):
             execute_strategy(mesh, config, spec, q, k, v)
+
+
+class TestFoldList:
+    """A list of blocks is folded in runs that share one visible window; it
+    must equal the chain of its single-block folds bit for bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(chain=fold_chains(), data=st.data())
+    def test_list_fold_equals_chain_of_single_folds_bitwise(self, chain, data):
+        spec, length, q_pos, blocks, seed = chain
+        rng = np.random.default_rng(seed)
+        # Three keys after every query: a fully-future block.
+        q, k, v = _random_qkv(rng, spec, length + 3)
+        if data.draw(st.booleans(), label="equal sizes"):
+            # Blocks of one size, so that neighbours can share a window.
+            size = data.draw(st.integers(1, 4))
+            keys = rng.permutation(length)
+            blocks = [np.sort(keys[i:i + size]) for i in range(0, length, size)]
+        blocks = list(blocks)
+        blocks.insert(data.draw(st.integers(0, len(blocks))), np.arange(length, length + 3))
+        if data.draw(st.booleans(), label="unsorted"):
+            q_pos = rng.permutation(q_pos)
+            blocks = [rng.permutation(block) for block in blocks]
+        q = q[:, q_pos]
+        ks = [k[:, block] for block in blocks]
+        vs = [v[:, block] for block in blocks]
+        # A KV head repeated as a stride-0 view, as a held-once segment is.
+        view = data.draw(st.integers(0, len(blocks) - 1))
+        ks[view], vs[view] = (np.broadcast_to(x[:1], x.shape) for x in (ks[view], vs[view]))
+        state = None
+        if data.draw(st.booleans(), label="resumed"):
+            split = data.draw(st.integers(0, len(blocks)))
+            first = start_fold(q, q_pos)
+            blockwise_attention_step(first, ks[:split], vs[:split], blocks[:split])
+            state = first.state
+            ks, vs, blocks = ks[split:], vs[split:], blocks[split:]
+        listed, chained = start_fold(q, q_pos, state), start_fold(q, q_pos, state)
+        assert blockwise_attention_step(listed, ks, vs, blocks) is listed.state
+        for block in zip(ks, vs, blocks):
+            blockwise_attention_step(chained, *block)
+        for a, b in zip(listed.state.as_arrays(), chained.state.as_arrays()):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["contiguous", "zigzag"])
+    def test_ring_pass_at_every_rank_folds_in_runs_bitwise(self, monkeypatch, kind):
+        # A naive-ring rank r sees hops 0..r whole and hops after r not at
+        # all: one run.  A zigzag rank folds its own block, then hops 1..r
+        # with their later chunk cut, then the rest with its earlier query
+        # chunk cut: runs of 1, r and W-1-r.
+        world = 16
+        spec = AttentionSpec(num_q_heads=4, num_kv_heads=2, head_dim=4)
+        plan = shard_plan(kind, 4 * world, world)
+        q, k, v = (plan.shard(x, 1) for x in _random_qkv(np.random.default_rng(5), spec,
+                                                           4 * world))
+        runs = []
+        original = numeric._fold_run
+
+        def recorded(fold, first, ks, *rest):
+            runs.append(len(ks))
+            return original(fold, first, ks, *rest)
+
+        monkeypatch.setattr(numeric, "_fold_run", recorded)
+        for rank in range(world):
+            sources = [(rank - hop) % world for hop in range(world)]
+            blocks = ([k[s] for s in sources], [v[s] for s in sources],
+                      [plan.rank_positions(s) for s in sources])
+            runs.clear()
+            listed = start_fold(q[rank], plan.rank_positions(rank))
+            blockwise_attention_step(listed, *blocks)
+            assert runs == ([rank + 1] if kind == "contiguous"
+                            else [1] + [n for n in (rank, world - 1 - rank) if n])
+            chained = start_fold(q[rank], plan.rank_positions(rank))
+            for block in zip(*blocks):
+                blockwise_attention_step(chained, *block)
+            for a, b in zip(listed.state.as_arrays(), chained.state.as_arrays()):
+                assert a.tobytes() == b.tobytes()

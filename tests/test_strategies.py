@@ -332,13 +332,13 @@ class TestPlanForStrategy:
 
 class TestTracedNames:
     """perfbench's per-layer metrics wrap ``strategies.blockwise_attention_step``
-    by name: every ring hop must call it exactly once."""
+    by name: every ring pass must call it exactly once, with all its blocks."""
 
-    @pytest.mark.parametrize("kind,a2a,p2p,hops", [
-        ("zigzag_ring", 1, 8, 64),
-        ("two_d", 2, 4, 32),
+    @pytest.mark.parametrize("kind,a2a,p2p,passes", [
+        ("zigzag_ring", 1, 8, 8),
+        ("two_d", 2, 4, 8),
     ])
-    def test_one_step_call_per_ring_hop(self, monkeypatch, kind, a2a, p2p, hops):
+    def test_one_step_call_per_ring_pass(self, monkeypatch, kind, a2a, p2p, passes):
         import spsim.strategies as strategies
 
         calls = []
@@ -352,7 +352,7 @@ class TestTracedNames:
         q, k, v = random_qkv(np.random.default_rng(9), SPEC, 32)
         config = StrategyConfig(kind, a2a_degree=a2a, p2p_degree=p2p)
         execute_strategy(sp_mesh(a2a * p2p, a2a), config, SPEC, q, k, v)
-        assert len(calls) == hops
+        assert len(calls) == passes
 
     @pytest.mark.parametrize("kind,a2a,p2p", [
         ("naive_ring", 1, 4), ("zigzag_ring", 1, 4), ("ulysses", 2, 1), ("two_d", 2, 2),
