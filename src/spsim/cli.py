@@ -39,7 +39,6 @@ from .strategies import (
     StrategyConfig,
     StrategyConfigError,
     execute_strategy,
-    packed_a2a_degree,
     resolve_strategy,
 )
 
@@ -191,13 +190,10 @@ def load_scenario(path: str | None, overrides: argparse.Namespace) -> Scenario:
         inter_node_latency=float(cfg["topology.latency_us_inter"]) * 1e-6,
     )
     model = cfg["model"]
-    spec = perf.model_profile(model).spec
-    kind, a2a, p2p = cfg["strategy.kind"], cfg["strategy.a2a"], cfg["strategy.p2p"]
-    if kind == "two_d" and not a2a and not p2p:
-        a2a = packed_a2a_degree(spec, topology)
     try:
-        strategy = resolve_strategy(spec, topology.world_size, kind, a2a, p2p,
-                                    cfg["strategy.kv_replication"])
+        strategy = resolve_strategy(perf.model_profile(model).spec, topology,
+                                    cfg["strategy.kind"], cfg["strategy.a2a"],
+                                    cfg["strategy.p2p"], cfg["strategy.kv_replication"])
     except StrategyConfigError as exc:
         raise ConfigError(f"strategy: {exc}") from exc
     if cfg["out"]:
@@ -260,14 +256,13 @@ def _sidecar(out_path: str | None, suffix: str) -> str | None:
 # ---------------------------------------------------------------------------
 
 def verification_strategies(scenario: Scenario) -> list[StrategyConfig]:
-    """The scenario's strategy, then every other kind valid at this world size."""
+    """The scenario's strategy, then each kind's default config that is valid
+    on this topology."""
     spec = perf.model_profile(scenario.model).spec
-    world = scenario.topology.world_size
     configs = [scenario.strategy]
-    for kind, a2a in (("naive_ring", 1), ("zigzag_ring", 1), ("ulysses", world),
-                      ("two_d", packed_a2a_degree(spec, scenario.topology))):
+    for kind in STRATEGY_KINDS:
         try:
-            cfg = resolve_strategy(spec, world, kind, a2a)
+            cfg = resolve_strategy(spec, scenario.topology, kind)
         except StrategyConfigError:
             continue
         if cfg not in configs:
@@ -292,16 +287,10 @@ def _verify_length(scenario: Scenario) -> int:
     return length
 
 
-def comm_model_ok(volume: dict, messages: Counter, log) -> bool:
-    """Whether a CommLog matches the analytic model exactly: its byte totals
-    per (kind, link), then its multiset of (src, dst, nbytes, kind) messages."""
-    totals_ok = all(
-        perf.volume_total(volume, kind, link) == log.total_bytes(kind=kind, link=link)
-        for kind in ("p2p", "a2a")
-        for link in ("intra", "inter")
-    )
-    return totals_ok and Counter((r.src, r.dst, r.nbytes, r.kind) for r in log.records) \
-        == messages
+def comm_model_ok(messages: Counter, log) -> bool:
+    """Whether a CommLog matches the analytic model exactly: its multiset of
+    (src, dst, nbytes, kind, link) messages equals ``messages``."""
+    return Counter((r.src, r.dst, r.nbytes, r.kind, r.link) for r in log.records) == messages
 
 
 def cmd_verify(scenario: Scenario) -> int:
@@ -313,9 +302,9 @@ def cmd_verify(scenario: Scenario) -> int:
     failures = 0
     meshes = [build_mesh(scenario.topology, cfg.a2a_degree, cfg.p2p_degree)
               for cfg in configs]
-    predicted = [perf.comm_volume(cfg, spec, length, mesh)
-                 for cfg, mesh in zip(configs, meshes)]
-    messages = [Counter(perf.strategy_messages(cfg, spec, length, mesh))
+    link = scenario.topology.link_class
+    messages = [Counter((src, dst, nbytes, kind, link(src, dst)) for src, dst, nbytes, kind
+                        in perf.strategy_messages(cfg, spec, length, mesh))
                 for cfg, mesh in zip(configs, meshes)]
     fault_index = scenario.inject_fault_message
     if fault_index is not None and fault_index >= messages[0].total():
@@ -350,11 +339,11 @@ def cmd_verify(scenario: Scenario) -> int:
                 seed_index, "pass" if ok else "FAIL", diff, detail))
             failures += 0 if ok else 1
 
-            bytes_ok = comm_model_ok(predicted[index], messages[index], log)
+            comm_ok = comm_model_ok(messages[index], log)
             rows_of[index].append((
                 "comm_model", cfg.kind, cfg.a2a_degree, cfg.p2p_degree,
-                seed_index, "pass" if bytes_ok else "FAIL", 0.0, ""))
-            failures += 0 if bytes_ok else 1
+                seed_index, "pass" if comm_ok else "FAIL", 0.0, ""))
+            failures += 0 if comm_ok else 1
     rows = [row for config_rows in rows_of for row in config_rows]
     header = ("check", "strategy", "a2a", "p2p", "seed", "status", "max_abs_diff",
               "detail")

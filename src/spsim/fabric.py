@@ -395,8 +395,8 @@ class _Runtime:
                 # first from rank 0, a deadlock if none, None once all are done.
                 rank = next((r for r in range(rank + 1, self.n) if state[r] == _READY), None)
                 if rank is None and state.count(_DONE) < self.n:
-                    while _READY not in state:
-                        self._raise_deadlock()  # returns only if a collective resolved
+                    if _READY not in state:
+                        self._raise_deadlock()
                     rank = state.index(_READY)
         finally:
             for handle in self.handles:
@@ -405,14 +405,13 @@ class _Runtime:
         return self.outputs, self.log
 
     def _raise_deadlock(self) -> None:
-        # Re-check every blocked group: a peer that finished after this rank
-        # blocked surfaces as a mismatch here.
+        # A group resolves on its last member's arrival, so no blocked group
+        # can resolve here.  Re-check every one: a peer that finished after
+        # this rank blocked surfaces as a mismatch.
         for rank in range(self.n):
             if self.state[rank] == _BLOCKED:
                 self._try_resolve(self.pending[rank].group)
-        if any(s == _READY for s in self.state):
-            return  # a collective resolved after all; keep driving
-        # Nothing can resolve: a member waiting on another group is a mismatch.
+        # A member waiting on another group is a mismatch.
         for rank in range(self.n):
             if self.state[rank] == _BLOCKED:
                 group = self.pending[rank].group

@@ -259,7 +259,7 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
                 new_caches.append(cache)
             fold = start_fold(q, q_pos)
             if cache.positions.size:
-                blockwise_attention_step(fold, cache.k, cache.v, cache.positions)
+                blockwise_attention_step(fold, [cache.k], [cache.v], [cache.positions])
             gathered = yield handle.all_gather(group, fold.state.as_arrays(), root=owner)
             if rank == owner:
                 merged = merge_attention_partials(
@@ -381,7 +381,7 @@ def sp_inference_report(mesh: DeviceMesh, spec: AttentionSpec, seq_len: int) -> 
     world = mesh.world_size
     compute = spec.num_layers * _layer_forward_flops(spec, seq_len) \
         / perf.DEVICE_RATE / world
-    config = resolve_strategy(spec, world, a2a=mesh.a2a_degree)
+    config = resolve_strategy(spec, mesh.topology, a2a=mesh.a2a_degree)
     comm = max(perf.per_rank_comm_seconds(config, spec, seq_len, mesh)) * spec.num_layers
     total = compute + comm
     token_bytes = seq_len * _bytes_per_token(spec)

@@ -201,14 +201,14 @@ def start_fold(q_block, q_positions, state: AttentionState | None = None) -> Att
     return AttentionFold(q, q_pos, span, state, fresh)
 
 
-def blockwise_attention_step(fold: AttentionFold, k_block, v_block,
+def blockwise_attention_step(fold: AttentionFold, k_blocks, v_blocks,
                              kv_positions) -> AttentionState:
     """Fold KV blocks into ``fold.state`` in place and return that state.
 
-    ``k_block``, ``v_block`` and ``kv_positions`` are one block (3-d k and v
-    and their positions), which folds as a run of one, or three lists of
-    blocks, folded in list order: a ring pass folds its R blocks in hop
-    order in one call.
+    ``k_blocks``, ``v_blocks`` and ``kv_positions`` are three lists of one
+    entry per block (3-d k and v and their positions), folded in list
+    order: a ring pass folds its R blocks in hop order in one call, a
+    decode step its one cached block.
     Every KV block is checked; ``start_fold`` checked the query block.
 
     Safe-softmax update: the running maximum absorbs each block's row maxima
@@ -235,19 +235,15 @@ def blockwise_attention_step(fold: AttentionFold, k_block, v_block,
     block.  Keys that no row sees weigh exactly 0, but dropping them
     shortens the matmul and sum, which can move last bits.
     """
-    if isinstance(k_block, list):
-        if not len(k_block) == len(v_block) == len(kv_positions):
-            raise ValueError(
-                f"{len(k_block)} k blocks, {len(v_block)} v blocks and "
-                f"{len(kv_positions)} position lists do not match"
-            )
-        blocks = zip(k_block, v_block, kv_positions)
-    else:
-        blocks = ((k_block, v_block, kv_positions),)
+    if not len(k_blocks) == len(v_blocks) == len(kv_positions):
+        raise ValueError(
+            f"k_blocks ({len(k_blocks)}), v_blocks ({len(v_blocks)}) and kv_positions "
+            f"({len(kv_positions)}) must be lists of one entry per block"
+        )
     heads, n_q = fold.q.shape[:2]
     q_pos, (q_lo, q_hi) = fold.q_positions, fold.q_span
     visible = []  # (window, k, v, kv positions, masked) of each block some row sees
-    for k, v, kv_pos in blocks:
+    for k, v, kv_pos in zip(k_blocks, v_blocks, kv_positions):
         k = _check_array(k, "k_block", 3)
         v = _check_array(v, "v_block", 3)
         if v.shape != k.shape:

@@ -531,11 +531,10 @@ def plan(topology: Topology, profile: ModelProfile, seq_len: int) -> StrategyCon
     factors are the pure strategies), scores each with iteration_time and
     returns the argmin; ties prefer a larger a2a factor, then a smaller p2p.
     """
-    world = topology.world_size
     candidates: list[StrategyConfig] = []
-    for a2a in _divisors(world):
+    for a2a in _divisors(topology.world_size):
         try:
-            candidates.append(resolve_strategy(profile.spec, world, a2a=a2a))
+            candidates.append(resolve_strategy(profile.spec, topology, a2a=a2a))
         except StrategyConfigError:
             continue
     scored = [

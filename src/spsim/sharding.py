@@ -85,16 +85,13 @@ class EncodedSequence:
 
     embeddings: np.ndarray  # (length, hidden)
     kinds: np.ndarray  # (length,) uint8
-    positions: np.ndarray  # (length,) int64, strictly increasing
     loss_mask: np.ndarray  # (length,) bool
     original_length: int
 
     def __post_init__(self) -> None:
         n = self.embeddings.shape[0]
-        if not (self.kinds.shape == self.positions.shape == self.loss_mask.shape == (n,)):
+        if not (self.kinds.shape == self.loss_mask.shape == (n,)):
             raise ValueError("per-position metadata does not match embedding rows")
-        if n > 1 and np.any(np.diff(self.positions) <= 0):
-            raise ValueError("positions must be strictly increasing")
         if np.any(self.loss_mask[self.kinds == KIND_DUMMY]):
             raise ValueError("dummy positions must have loss_mask false")
 
@@ -334,7 +331,6 @@ def globalize_and_pad(pieces, mesh: DeviceMesh) -> tuple[EncodedSequence, ShardP
     encoded = EncodedSequence(
         embeddings=rows,
         kinds=kinds,
-        positions=np.arange(padded, dtype=np.int64),
         loss_mask=kinds == KIND_TEXT,
         original_length=original,
     )

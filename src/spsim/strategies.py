@@ -123,23 +123,27 @@ def plan_kind(kind: str) -> str:
     return "contiguous" if kind in ("naive_ring", "ulysses") else "zigzag"
 
 
-def resolve_strategy(spec: AttentionSpec, world: int, kind: str | None = None,
+def resolve_strategy(spec: AttentionSpec, topology: Topology, kind: str | None = None,
                      a2a: int = 0, p2p: int = 0,
                      kv_replication: bool | None = None) -> StrategyConfig:
-    """The valid StrategyConfig that factors ``world`` ranks as (a2a, p2p).
+    """The valid StrategyConfig that factors the topology's world as (a2a, p2p).
 
-    Ring kinds fix a2a at 1 and ulysses fixes p2p at 1; a degree left at 0
-    is the world divided by the other (a2a alone defaults to the world).
-    Without a kind the degrees name it: a group of one is the zigzag ring,
-    a ring of one is ulysses, anything else is two_d.  With
+    Ring kinds fix a2a at 1 and ulysses fixes p2p at 1; ``two_d`` with
+    neither degree set takes the packing rule's a2a (``packed_a2a_degree``);
+    a degree left at 0 is the world divided by the other (a2a alone defaults
+    to the world).  Without a kind the degrees name it: a group of one is
+    the zigzag ring, a ring of one is ulysses, anything else is two_d.  With
     ``kv_replication`` None, replication is turned on only when the heads
     require it.  Raises StrategyConfigError when the degrees do not factor
     the world, or with the last attempt's error when the heads allow none.
     """
+    world = topology.world_size
     if kind in RING_KINDS:
         a2a = 1
     elif kind == "ulysses":
         p2p = 1
+    elif kind == "two_d" and not a2a and not p2p:
+        a2a = packed_a2a_degree(spec, topology)
     a2a = a2a or max(1, world // (p2p or 1))
     p2p = p2p or max(1, world // a2a)
     if a2a * p2p != world:
@@ -418,7 +422,6 @@ def execute_strategy(mesh: DeviceMesh, config: StrategyConfig, spec: AttentionSp
             f"does not match mesh (world {mesh.world_size}, a2a {mesh.a2a_degree}, "
             f"p2p {mesh.p2p_degree})"
         )
-    config.validate_heads(spec)
     plan = plan_for_strategy(config, q.shape[1])
     # Built per call, so a wrapper later set on these names (perfbench's tracer) runs.
     run = {"naive_ring": ring_attention, "zigzag_ring": zigzag_ring_attention,

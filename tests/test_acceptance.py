@@ -60,16 +60,17 @@ def _mesh_for(sp: int, a2a: int):
 
 
 def _valid_configs(rng, spec, sp):
-    configs = [resolve_strategy(spec, sp, kind) for kind in ("naive_ring", "zigzag_ring")]
+    topology = Topology(num_nodes=1, gpus_per_node=sp)
+    configs = [resolve_strategy(spec, topology, kind) for kind in ("naive_ring", "zigzag_ring")]
     try:
-        configs.append(resolve_strategy(spec, sp, "ulysses", sp))
+        configs.append(resolve_strategy(spec, topology, "ulysses", sp))
     except StrategyConfigError:
         pass
     factors = [a for a in range(2, sp) if sp % a == 0]
     rng.shuffle(factors)
     for a2a in factors:
         try:
-            configs.append(resolve_strategy(spec, sp, "two_d", a2a))
+            configs.append(resolve_strategy(spec, topology, "two_d", a2a))
         except StrategyConfigError:
             continue
         break

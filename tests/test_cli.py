@@ -20,7 +20,8 @@ from spsim.cli import (SCENARIO_KEYS, ConfigError, _verify_length, comm_model_ok
                        load_scenario, main, verification_strategies)
 from spsim.fabric import CommLog, Topology, build_mesh
 from spsim.numeric import AttentionSpec
-from spsim.strategies import StrategyConfig, execute_strategy, packed_a2a_degree
+from spsim.strategies import (STRATEGY_KINDS, StrategyConfig, execute_strategy,
+                              packed_a2a_degree)
 
 SMALL_SCENARIO = {
     "topology": {"nodes": 2, "gpus_per_node": 2},
@@ -39,6 +40,13 @@ def write_config(tmp_path, payload, name="scenario.json"):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _linked_messages(cfg, spec, length, mesh):
+    """The analytic messages of one pass as verify counts them, with links."""
+    link = mesh.topology.link_class
+    return Counter((src, dst, nbytes, kind, link(src, dst))
+                   for src, dst, nbytes, kind in perf.strategy_messages(cfg, spec, length, mesh))
 
 
 class TestConfigHandling:
@@ -255,8 +263,8 @@ class TestVerify:
         q, k, v = (rng.standard_normal((h, 16, 4)) for h in (4, 2, 2))
         run = execute_strategy(mesh, cfg, spec, q, k, v)
         volume = perf.comm_volume(cfg, spec, 16, mesh)
-        messages = Counter(perf.strategy_messages(cfg, spec, 16, mesh))
-        assert comm_model_ok(volume, messages, run.log)
+        messages = _linked_messages(cfg, spec, 16, mesh)
+        assert comm_model_ok(messages, run.log)
 
         moved = CommLog()
         first = run.log.records[0]
@@ -265,7 +273,36 @@ class TestVerify:
         for kind in ("p2p", "a2a"):
             for link in ("intra", "inter"):
                 assert perf.volume_total(volume, kind, link) == moved.total_bytes(kind, link)
-        assert not comm_model_ok(volume, messages, moved)
+        assert not comm_model_ok(messages, moved)
+
+    def test_comm_model_row_checks_each_message_link(self):
+        # On 2 x 2 a zigzag ring hops 0 -> 1 and 2 -> 3 inside a node and
+        # 1 -> 2 and 3 -> 0 across nodes, all of one size.  Swapping the link
+        # labels of an intra and an inter hop keeps every (kind, link) byte
+        # total and every (src, dst, nbytes, kind) message.
+        spec = AttentionSpec(num_q_heads=4, num_kv_heads=2, head_dim=4)
+        cfg = StrategyConfig("zigzag_ring", p2p_degree=4)
+        mesh = build_mesh(Topology(num_nodes=2, gpus_per_node=2), 1, 4)
+        rng = np.random.default_rng(8)
+        q, k, v = (rng.standard_normal((h, 16, 4)) for h in (4, 2, 2))
+        run = execute_strategy(mesh, cfg, spec, q, k, v)
+        messages = _linked_messages(cfg, spec, 16, mesh)
+        assert comm_model_ok(messages, run.log)
+
+        intra = next(i for i, r in enumerate(run.log.records) if r.link == "intra")
+        inter = next(i for i, r in enumerate(run.log.records) if r.link == "inter")
+        records = list(run.log.records)
+        assert records[intra].nbytes == records[inter].nbytes
+        records[intra] = records[intra]._replace(link="inter")
+        records[inter] = records[inter]._replace(link="intra")
+        swapped = CommLog()
+        swapped.records = records
+        for kind in ("p2p", "a2a"):
+            for link in ("intra", "inter"):
+                assert swapped.total_bytes(kind, link) == run.log.total_bytes(kind, link)
+        assert Counter((r.src, r.dst, r.nbytes, r.kind) for r in swapped.records) == \
+            Counter(perf.strategy_messages(cfg, spec, 16, mesh))
+        assert not comm_model_ok(messages, swapped)
 
 
 class TestDeterminism:
@@ -440,6 +477,34 @@ class TestA2APacking:
                              argparse.Namespace(strategy="naive_ring"))
         two_d = [cfg for cfg in verification_strategies(ring) if cfg.kind == "two_d"]
         assert [cfg.a2a_degree for cfg in two_d] == [a2a]
+
+
+class TestStrategyDefaults:
+    # sha256 of the grid lines below joined by newlines, computed while
+    # load_scenario and verification_strategies still applied the two_d
+    # packing rule themselves.
+    GRID_SHA256 = "5f5b4377837c4a5094c70f67a0e34ea66f4864aa6f6539261f608909dac12b54"
+
+    def test_strategy_grid_matches_pinned_digest(self, tmp_path):
+        # 3 models x nodes 1-4 x GPUs per node 1-16 x {default, each kind}:
+        # verify's configs, or the scenario's refusal text, must not move.
+        lines = []
+        for nodes in range(1, 5):
+            for gpus in range(1, 17):
+                path = write_config(tmp_path, {"topology": {"nodes": nodes,
+                                                            "gpus_per_node": gpus}})
+                for model in perf.PROFILE_NAMES:
+                    for kind in (None,) + STRATEGY_KINDS:
+                        overrides = argparse.Namespace(model=model, strategy=kind)
+                        try:
+                            result = [(c.kind, c.a2a_degree, c.p2p_degree, c.kv_replication)
+                                      for c in verification_strategies(
+                                          load_scenario(path, overrides))]
+                        except ConfigError as exc:
+                            result = str(exc)
+                        lines.append(f"{nodes} x {gpus} {model} {kind}: {result}")
+        assert len(lines) == 960
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.GRID_SHA256
 
 
 class TestProfileAndPlan:

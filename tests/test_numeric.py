@@ -177,7 +177,7 @@ class TestBlockwiseAccumulation:
         q, k, v = _random_qkv(rng, spec, 32)
         pos = np.arange(32)
         fold = start_fold(q, pos, init_attention_state(4, 32, 8))
-        blockwise_attention_step(fold, k, v, pos)
+        blockwise_attention_step(fold, [k], [v], [pos])
         got = finalize_attention(fold.state)
         want = reference_attention(q, k, v, spec)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -190,7 +190,7 @@ class TestBlockwiseAccumulation:
         fold = start_fold(q, pos, init_attention_state(4, 64, 8))
         for start in range(0, 64, 16):
             block = slice(start, start + 16)
-            blockwise_attention_step(fold, k[:, block], v[:, block], pos[block])
+            blockwise_attention_step(fold, [k[:, block]], [v[:, block]], [pos[block]])
         got = finalize_attention(fold.state)
         want = reference_attention(q, k, v, spec)
         assert np.max(np.abs(got - want)) < 1e-10
@@ -201,11 +201,11 @@ class TestBlockwiseAccumulation:
         q, k, v = _random_qkv(rng, spec, 8)
         pos = np.arange(8)
         fold = start_fold(q, pos, init_attention_state(2, 8, 4))
-        before = [a.copy() for a in blockwise_attention_step(fold, k, v, pos).as_arrays()]
+        before = [a.copy() for a in blockwise_attention_step(fold, [k], [v], [pos]).as_arrays()]
         # every key position beyond every query position
         future_k = rng.standard_normal((2, 5, 4))
         future_v = rng.standard_normal((2, 5, 4))
-        after = blockwise_attention_step(fold, future_k, future_v, np.arange(100, 105))
+        after = blockwise_attention_step(fold, [future_k], [future_v], [np.arange(100, 105)])
         for kept, now in zip(before, after.as_arrays()):
             np.testing.assert_array_equal(now, kept)
 
@@ -228,7 +228,7 @@ class TestBlockwiseAccumulation:
         fold = start_fold(q, pos, init_attention_state(q_heads, length, head_dim))
         for bi in order:
             rows = blocks[bi]
-            blockwise_attention_step(fold, k[:, rows], v[:, rows], pos[rows])
+            blockwise_attention_step(fold, [k[:, rows]], [v[:, rows]], [pos[rows]])
         got = finalize_attention(fold.state)
         want = reference_attention(q, k, v, spec)
         assert np.max(np.abs(got - want)) < 1e-10
@@ -247,7 +247,7 @@ class TestBlockwiseAccumulation:
         cuts = np.sort(rng.choice(np.arange(1, length), size=3, replace=False))
         fold = start_fold(q, pos, init_attention_state(q_heads, length, 8))
         for rows in np.split(rng.permutation(length), cuts):
-            blockwise_attention_step(fold, k[:, rows], v[:, rows], pos[rows])
+            blockwise_attention_step(fold, [k[:, rows]], [v[:, rows]], [pos[rows]])
         assert np.max(np.abs(finalize_attention(fold.state) - want)) < 1e-12
 
     @pytest.mark.parametrize("kv_start", [0, 100], ids=["normal", "fully-masked"])
@@ -257,10 +257,10 @@ class TestBlockwiseAccumulation:
         q, k, v = _random_qkv(rng, spec, 8)
         pos = np.arange(8)
         state = blockwise_attention_step(start_fold(q, pos, init_attention_state(4, 8, 4)),
-                                         k[:, :4], v[:, :4], pos[:4])
+                                         [k[:, :4]], [v[:, :4]], [pos[:4]])
         before = [a.copy() for a in state.as_arrays()]
-        blockwise_attention_step(start_fold(q, pos, state), k[:, 4:], v[:, 4:],
-                                 pos[4:] + kv_start)
+        blockwise_attention_step(start_fold(q, pos, state), [k[:, 4:]], [v[:, 4:]],
+                                 [pos[4:] + kv_start])
         for kept, now in zip(before, state.as_arrays()):
             assert kept.tobytes() == now.tobytes()
 
@@ -275,7 +275,7 @@ class TestBlockwiseAccumulation:
         np.testing.assert_array_equal(reference_attention(q_view, k, v, spec),
                                       reference_attention(q_copy, k, v, spec))
         states = [blockwise_attention_step(start_fold(q, pos, init_attention_state(4, 10, 8)),
-                                           k, v, pos)
+                                           [k], [v], [pos])
                   for q in (q_view, q_copy)]
         for a, b in zip(*(s.as_arrays() for s in states)):
             np.testing.assert_array_equal(a, b)
@@ -286,7 +286,7 @@ class TestBlockwiseAccumulation:
         k = v = rng.standard_normal((2, 4, 2))
         with pytest.raises(ValueError, match="kv head count 2 does not divide q head count 3"):
             blockwise_attention_step(start_fold(q, np.arange(4), init_attention_state(3, 4, 2)),
-                                     k, v, np.arange(4))
+                                     [k], [v], [np.arange(4)])
 
     def test_rejects_state_shape_mismatch(self):
         spec = AttentionSpec(num_q_heads=2, num_kv_heads=2, head_dim=4)
@@ -316,7 +316,7 @@ class TestMergePartials:
         q, k, v = _random_qkv(rng, spec, 12)
         pos = np.arange(12)
         state = blockwise_attention_step(start_fold(q, pos, init_attention_state(2, 12, 4)),
-                                         k, v, pos)
+                                         [k], [v], [pos])
         merged = merge_attention_partials(state, init_attention_state(2, 12, 4))
         np.testing.assert_array_equal(merged.partial_output, state.partial_output)
         np.testing.assert_array_equal(merged.running_denominator, state.running_denominator)
@@ -327,9 +327,9 @@ class TestMergePartials:
         q, k, v = _random_qkv(rng, spec, 30)
         pos = np.arange(30)
         a = blockwise_attention_step(start_fold(q, pos, init_attention_state(4, 30, 8)),
-                                     k[:, :14], v[:, :14], pos[:14])
+                                     [k[:, :14]], [v[:, :14]], [pos[:14]])
         b = blockwise_attention_step(start_fold(q, pos, init_attention_state(4, 30, 8)),
-                                     k[:, 14:], v[:, 14:], pos[14:])
+                                     [k[:, 14:]], [v[:, 14:]], [pos[14:]])
         ab = finalize_attention(merge_attention_partials(a, b))
         ba = finalize_attention(merge_attention_partials(b, a))
         assert np.max(np.abs(ab - ba)) < 1e-12
@@ -346,7 +346,7 @@ class TestMergePartials:
         for rows in (np.flatnonzero(mask), np.flatnonzero(~mask)):
             fold = start_fold(q, pos, init_attention_state(4, length, 8))
             if rows.size:
-                blockwise_attention_step(fold, k[:, rows], v[:, rows], pos[rows])
+                blockwise_attention_step(fold, [k[:, rows]], [v[:, rows]], [pos[rows]])
             halves.append(fold.state)
         got = finalize_attention(merge_attention_partials(*halves))
         want = reference_attention(q, k, v, spec)
@@ -433,7 +433,7 @@ def _partials(q, k, v, q_pos, blocks):
     states = []
     for block in blocks:
         fold = start_fold(q, q_pos)
-        blockwise_attention_step(fold, k[:, block], v[:, block], block)
+        blockwise_attention_step(fold, [k[:, block]], [v[:, block]], [block])
         states.append(fold.state)
     return states
 
@@ -453,8 +453,8 @@ class TestDecodeFold:
             kv_pos[-1] = q_pos[0]  # the newest key at the query's position, as on the owner
         fold = start_fold(q, q_pos)
         if cached:
-            blockwise_attention_step(fold, k, v, kv_pos)
-        general = blockwise_attention_step(_general_fold(q, q_pos), k, v, kv_pos)
+            blockwise_attention_step(fold, [k], [v], [kv_pos])
+        general = blockwise_attention_step(_general_fold(q, q_pos), [k], [v], [kv_pos])
         for a, b in zip(general.as_arrays(), fold.state.as_arrays()):
             assert a.tobytes() == b.tobytes()
         if cached:
@@ -480,8 +480,8 @@ class TestFirstFoldInPlace:
         v = -np.abs(rng.standard_normal((kv_heads, len(kv_pos), 4)))  # 0 * v is -0.0
         q_pos, kv_pos = np.array(q_pos), np.array(kv_pos)
         fold = start_fold(q, q_pos)
-        blockwise_attention_step(fold, k, v, kv_pos)
-        general = blockwise_attention_step(_general_fold(q, q_pos), k, v, kv_pos)
+        blockwise_attention_step(fold, [k], [v], [kv_pos])
+        general = blockwise_attention_step(_general_fold(q, q_pos), [k], [v], [kv_pos])
         for a, b in zip(general.as_arrays(), fold.state.as_arrays()):
             assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
@@ -494,8 +494,8 @@ class TestFoldProperty:
         general = _general_fold(q, q_pos)
         fold = start_fold(q, q_pos)
         for block in blocks:
-            blockwise_attention_step(general, k[:, block], v[:, block], block)
-            blockwise_attention_step(fold, k[:, block], v[:, block], block)
+            blockwise_attention_step(general, [k[:, block]], [v[:, block]], [block])
+            blockwise_attention_step(fold, [k[:, block]], [v[:, block]], [block])
         for a, b in zip(general.state.as_arrays(), fold.state.as_arrays()):
             assert a.tobytes() == b.tobytes()
         want = finalize_attention(general.state)
@@ -512,13 +512,13 @@ class TestFoldProperty:
         _spec, q, k, v, q_pos, blocks = _chain_inputs(chain)
         uncut, first = start_fold(q, q_pos), start_fold(q, q_pos)
         for block in blocks:
-            blockwise_attention_step(uncut, k[:, block], v[:, block], block)
+            blockwise_attention_step(uncut, [k[:, block]], [v[:, block]], [block])
         for block in blocks[:split]:
-            blockwise_attention_step(first, k[:, block], v[:, block], block)
+            blockwise_attention_step(first, [k[:, block]], [v[:, block]], [block])
         before = [a.tobytes() for a in first.state.as_arrays()]
         resumed = start_fold(q, q_pos, first.state)
         for block in blocks[split:]:
-            blockwise_attention_step(resumed, k[:, block], v[:, block], block)
+            blockwise_attention_step(resumed, [k[:, block]], [v[:, block]], [block])
         assert [a.tobytes() for a in first.state.as_arrays()] == before
         for a, b in zip(uncut.state.as_arrays(), resumed.state.as_arrays()):
             assert a.tobytes() == b.tobytes()
@@ -529,7 +529,7 @@ class TestFoldProperty:
         spec, q, k, v, q_pos, blocks = _chain_inputs(chain)
         fold = start_fold(q, q_pos)
         for block in blocks:
-            blockwise_attention_step(fold, k[:, block], v[:, block], block)
+            blockwise_attention_step(fold, [k[:, block]], [v[:, block]], [block])
         want = reference_attention(q, k, v, spec, q_positions=q_pos)
         assert np.max(np.abs(finalize_attention(fold.state) - want)) < 1e-10
 
@@ -553,9 +553,9 @@ class TestFoldProperty:
     def test_nan_in_one_rank_raises_through_execute_strategy(self, kind, tensor, head,
                                                             position):
         spec = AttentionSpec(num_q_heads=4, num_kv_heads=2, head_dim=4)
-        config = resolve_strategy(spec, 4, kind, a2a=2 if kind == "two_d" else 0)
-        mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=4),
-                          config.a2a_degree, config.p2p_degree)
+        topology = Topology(num_nodes=1, gpus_per_node=4)
+        config = resolve_strategy(spec, topology, kind, a2a=2 if kind == "two_d" else 0)
+        mesh = build_mesh(topology, config.a2a_degree, config.p2p_degree)
         q, k, v = _random_qkv(np.random.default_rng(position), spec, 16)
         {"q": q, "k": k}[tensor][head, position, 0] = np.nan
         with pytest.raises(ValueError, match=f"{tensor}_block contains non-finite entries"):
@@ -565,6 +565,16 @@ class TestFoldProperty:
 class TestFoldList:
     """A list of blocks is folded in runs that share one visible window; it
     must equal the chain of its single-block folds bit for bit."""
+
+    @pytest.mark.parametrize("length", [4, 2], ids=["lengths-differ", "lengths-agree"])
+    def test_bare_block_is_refused(self, length):
+        # Blocks come only as lists.  A bare (2, length, 4) k block is two
+        # 2-d entries, refused by count or, when that agrees, by shape.
+        rng = np.random.default_rng(17)
+        q = rng.standard_normal((2, 4, 4))
+        k = v = rng.standard_normal((2, length, 4))
+        with pytest.raises(ValueError, match="k_block"):
+            blockwise_attention_step(start_fold(q, np.arange(4)), k, v, np.arange(length))
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(chain=fold_chains(), data=st.data())
@@ -598,8 +608,8 @@ class TestFoldList:
             ks, vs, blocks = ks[split:], vs[split:], blocks[split:]
         listed, chained = start_fold(q, q_pos, state), start_fold(q, q_pos, state)
         assert blockwise_attention_step(listed, ks, vs, blocks) is listed.state
-        for block in zip(ks, vs, blocks):
-            blockwise_attention_step(chained, *block)
+        for k_block, v_block, kv_pos in zip(ks, vs, blocks):
+            blockwise_attention_step(chained, [k_block], [v_block], [kv_pos])
         for a, b in zip(listed.state.as_arrays(), chained.state.as_arrays()):
             assert a.tobytes() == b.tobytes()
 
@@ -632,7 +642,7 @@ class TestFoldList:
             assert runs == ([rank + 1] if kind == "contiguous"
                             else [1] + [n for n in (rank, world - 1 - rank) if n])
             chained = start_fold(q[rank], plan.rank_positions(rank))
-            for block in zip(*blocks):
-                blockwise_attention_step(chained, *block)
+            for k_block, v_block, kv_pos in zip(*blocks):
+                blockwise_attention_step(chained, [k_block], [v_block], [kv_pos])
             for a, b in zip(listed.state.as_arrays(), chained.state.as_arrays()):
                 assert a.tobytes() == b.tobytes()

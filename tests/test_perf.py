@@ -211,7 +211,8 @@ class TestInferenceMessages:
     def test_prefill_log_equals_mirror(self, world, a2a, kv_replication):
         # One KV head makes an a2a group of 2 replicate it.
         spec = AttentionSpec(8, 1, 4, 2) if kv_replication else self.SPEC
-        config = resolve_strategy(spec, world, a2a=a2a, kv_replication=kv_replication)
+        config = resolve_strategy(spec, Topology(num_nodes=1, gpus_per_node=world), a2a=a2a,
+                                  kv_replication=kv_replication)
         mesh, plan, state = _prefill(config, spec, world)
         executed = Counter((r.src, r.dst, r.nbytes, r.kind) for r in state.comm_log.records)
         assert executed == Counter(prefill_messages(config, spec, plan.padded_length, mesh))
@@ -220,7 +221,7 @@ class TestInferenceMessages:
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
     def test_decode_log_equals_mirror_in_order(self, world, kind):
         spec = self.SPEC
-        config = resolve_strategy(spec, world, kind=kind,
+        config = resolve_strategy(spec, Topology(num_nodes=1, gpus_per_node=world), kind=kind,
                                   a2a=min(2, world) if kind == "two_d" else 0)
         mesh, _plan, state = _prefill(config, spec, world)
         for sampler in (greedy_sampler, greedy_sampler, lambda logits: -1):  # -1 ends it

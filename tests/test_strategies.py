@@ -421,7 +421,7 @@ def fold_as_it_arrives(plan, q_shards, k_shards, v_shards):
         kv = (k_shards[rank], v_shards[rank])
         for hop in range(size):
             source = ring[(me - hop) % size]
-            blockwise_attention_step(fold, kv[0], kv[1], plan.rank_positions(source))
+            blockwise_attention_step(fold, [kv[0]], [kv[1]], [plan.rank_positions(source)])
             if hop < size - 1:
                 kv = yield handle.send_recv(ring, ring[(me + 1) % size], ring[(me - 1) % size],
                                             kv)
