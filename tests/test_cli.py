@@ -336,8 +336,8 @@ class TestDeterminism:
 # sha256 of the analytic commands' stdout and stderr, then of every file a
 # run with --out writes (the main file and its sidecars), per scenario.  These
 # outputs are pure Python floats and integer byte counts, so they move only
-# with the cost model.  verify is left out: its max_abs_diff depends on the
-# BLAS build.
+# with the cost model.  verify is pinned apart, with its max_abs_diff column
+# masked: the last bits of that column depend on the BLAS build.
 PINNED_SCENARIOS = {
     "default": {},
     "1x4-frames-samples": {"topology": {"nodes": 1, "gpus_per_node": 4},
@@ -370,6 +370,37 @@ PINNED_OUTPUT_SHA256 = {
     ("default", "profile"):
         "d720bc373ba9b8261e270db3e820ef55a5b816390dd60e3762feed2bf504cf1f",
 }
+# sha256 of verify's stdout (max_abs_diff masked) and stderr, per scenario.
+PINNED_VERIFY_SHA256 = {
+    "1x4-frames-samples":
+        "f967945e79de22ac9ee71afd780b605cdb39c6675f3d6f318334e3780780aeed",
+    "2x6":
+        "360543ae87a93c3bc036887458907ccd8cba3c59b2c5a2c37d77c339d6653e0e",
+    "default":
+        "e8b7bceedfe8bfd98ba09b81e10f26745cc9fc869b9a347607d388419060015e",
+}
+
+
+def _pinned_config(tmp_path, scenario):
+    """Write a pinned scenario's config; a frames scenario gets a samples file."""
+    payload = PINNED_SCENARIOS[scenario]
+    if "frames" in payload.get("workload", {}):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("".join(f"{i} 8 {260 + 20 * i}\n" for i in range(8)))
+        payload = {**payload,
+                   "workload": {**payload["workload"], "samples_file": str(samples)}}
+    return write_config(tmp_path, payload)
+
+
+def _mask_max_abs_diff(text):
+    """verify's CSV text with each oracle row's max_abs_diff replaced by '*'."""
+    lines = []
+    for line in text.splitlines(keepends=True):
+        fields = line.split(",")
+        if fields[0] == "oracle":
+            fields[6] = "*"
+        lines.append(",".join(fields))
+    return "".join(lines)
 
 
 class TestPinnedOutputs:
@@ -382,13 +413,7 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("scenario", sorted(PINNED_SCENARIOS))
     def test_outputs_match_the_pinned_digest(self, tmp_path, capsys, scenario, command,
                                              extra):
-        payload = PINNED_SCENARIOS[scenario]
-        if "frames" in payload.get("workload", {}):
-            samples = tmp_path / "samples.txt"
-            samples.write_text("".join(f"{i} 8 {260 + 20 * i}\n" for i in range(8)))
-            payload = {**payload,
-                       "workload": {**payload["workload"], "samples_file": str(samples)}}
-        cfg = write_config(tmp_path, payload)
+        cfg = _pinned_config(tmp_path, scenario)
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         digest = hashlib.sha256()
@@ -399,6 +424,13 @@ class TestPinnedOutputs:
         for path in sorted(out_dir.iterdir()):
             digest.update(f"\0{path.name}\0".encode() + path.read_bytes())
         assert digest.hexdigest() == PINNED_OUTPUT_SHA256[(scenario, command)]
+
+    @pytest.mark.parametrize("scenario", sorted(PINNED_SCENARIOS))
+    def test_verify_matches_the_pinned_digest(self, tmp_path, capsys, scenario):
+        assert run_cli("verify", "--config", _pinned_config(tmp_path, scenario)) == 0
+        captured = capsys.readouterr()
+        text = f"stdout\0{_mask_max_abs_diff(captured.out)}\0stderr\0{captured.err}"
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_VERIFY_SHA256[scenario]
 
 
 class TestSimulate:
