@@ -136,14 +136,13 @@ def local_forward(model: StubModel, embeddings: np.ndarray) -> np.ndarray:
     return x
 
 
-def local_decode(model: StubModel, embeddings: np.ndarray, max_new_tokens: int,
-                 sampler=greedy_sampler) -> list[int]:
-    """One-device incremental decode by full recomputation each step."""
+def local_decode(model: StubModel, embeddings: np.ndarray, max_new_tokens: int) -> list[int]:
+    """One-device greedy decode by full recomputation each step."""
     rows = embeddings
     tokens: list[int] = []
     for _ in range(max_new_tokens):
         hidden = local_forward(model, rows)
-        token = int(sampler(model.logits(hidden[-1])))
+        token = greedy_sampler(model.logits(hidden[-1]))
         tokens.append(token)
         if token == model.eos_token_id:
             break

@@ -254,11 +254,7 @@ def strategy_messages(config: StrategyConfig, spec: AttentionSpec, seq_len: int,
     a2a sends out, its ring hops to ``(src + a2a) % world``, then its a2a
     sends back; the executed log interleaves the ranks in another order.
     """
-    if (mesh.a2a_degree, mesh.p2p_degree) != (config.a2a_degree, config.p2p_degree):
-        raise ValueError(
-            f"strategy {config.kind} (a2a {config.a2a_degree}, p2p {config.p2p_degree}) "
-            f"does not match mesh (a2a {mesh.a2a_degree}, p2p {mesh.p2p_degree})"
-        )
+    config.check_mesh(mesh)
     sp = config.sp_degree
     padded = padded_length(plan_kind(config.kind), sp, seq_len)
     local = padded // sp
@@ -367,12 +363,9 @@ def iteration_time(config: StrategyConfig, profile: ModelProfile, topology: Topo
     their compute and communication add.  The slowest rank sets the
     iteration time.
     """
-    if not profile.calibrated:
-        raise ValueError("iteration_time requires a calibrated profile")
-    config.validate_heads(profile.spec)
+    flops = flops_profile(profile, num_frames, seq_len)
     sp = config.sp_degree
     mesh = build_mesh(topology, config.a2a_degree, config.p2p_degree)
-    flops = flops_profile(profile, num_frames, seq_len)
     fwd_total = flops["linears"] + flops["attention"] + flops["others"]
     if num_frames > 0:
         fwd_total += flops["encoder"]

@@ -10,7 +10,7 @@ system under test is the sharding, not the modeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -102,24 +102,39 @@ class ShardPlan:
 
     ``contiguous`` gives rank i chunk i (of sp chunks); ``zigzag`` gives rank
     i chunks {i, 2P-1-i} (of 2P chunks), taken from both ends of the sequence
-    so each rank's causal workload is equal.
+    so each rank's causal workload is equal.  The chunks and their owners
+    follow from the kind, the degree and the padded length, which must be a
+    positive multiple of the plan granule.
     """
 
     kind: str  # "contiguous" | "zigzag"
     sp_degree: int
-    chunk_size: int
     padded_length: int
     original_length: int
-    assignments: tuple[tuple[int, ...], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        owned = sorted(c for chunks in self.assignments for c in chunks)
-        if owned != list(range(self.num_chunks)):
-            raise ValueError("chunk assignments do not partition the sequence")
+        if self.sp_degree < 1:
+            raise ValueError("sp_degree must be >= 1")
+        granule = plan_granule(self.kind, self.sp_degree)
+        if self.padded_length < 1 or self.padded_length % granule != 0:
+            need = (f"sp_degree {self.sp_degree}" if self.kind == "contiguous"
+                    else f"2 * sp_degree = {granule}")
+            raise ValueError(f"length {self.padded_length} not divisible by {need}")
 
     @property
     def num_chunks(self) -> int:
-        return self.padded_length // self.chunk_size
+        return plan_granule(self.kind, self.sp_degree)
+
+    @property
+    def chunk_size(self) -> int:
+        return self.padded_length // self.num_chunks
+
+    @property
+    def assignments(self) -> tuple[tuple[int, ...], ...]:
+        """Per rank, the chunks it owns in position order."""
+        last = self.num_chunks - 1
+        return tuple((r,) if self.kind == "contiguous" else (r, last - r)
+                     for r in range(self.sp_degree))
 
     @property
     def local_length(self) -> int:
@@ -157,10 +172,9 @@ class ShardPlan:
         return {}
 
     def rank_of_chunk(self, chunk: int) -> int:
-        for rank, chunks in enumerate(self.assignments):
-            if chunk in chunks:
-                return rank
-        raise ValueError(f"chunk {chunk} not assigned")
+        if not 0 <= chunk < self.num_chunks:
+            raise ValueError(f"chunk {chunk} not assigned")
+        return chunk if self.kind == "contiguous" else min(chunk, self.num_chunks - 1 - chunk)
 
     def shard(self, array: np.ndarray, axis: int = 0) -> list[np.ndarray]:
         """Split a global array (padded length along ``axis``) into rank shards."""
@@ -205,23 +219,9 @@ def padded_length(shard_kind: str, sp: int, length: int) -> int:
 
 def shard_plan(kind: str, padded_length: int, sp_degree: int,
                original_length: int | None = None) -> ShardPlan:
-    """The ``kind`` plan (see ShardPlan) of a positive multiple of its granule."""
-    if sp_degree < 1:
-        raise ValueError("sp_degree must be >= 1")
-    granule = plan_granule(kind, sp_degree)
-    if padded_length < 1 or padded_length % granule != 0:
-        need = (f"sp_degree {sp_degree}" if kind == "contiguous"
-                else f"2 * sp_degree = {granule}")
-        raise ValueError(f"length {padded_length} not divisible by {need}")
-    return ShardPlan(
-        kind=kind,
-        sp_degree=sp_degree,
-        chunk_size=padded_length // granule,
-        padded_length=padded_length,
-        original_length=padded_length if original_length is None else original_length,
-        assignments=tuple((r,) if kind == "contiguous" else (r, granule - 1 - r)
-                          for r in range(sp_degree)),
-    )
+    """The ``kind`` plan (see ShardPlan); the original length defaults to the padded one."""
+    return ShardPlan(kind, sp_degree, padded_length,
+                     padded_length if original_length is None else original_length)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,15 @@ class StrategyConfig:
         """Check the head-divisibility limits of the a2a factor."""
         effective_kv_heads(spec, self.a2a_degree, self.kv_replication)
 
+    def check_mesh(self, mesh: DeviceMesh) -> None:
+        """Check that the mesh factors its world as this config's (a2a, p2p)."""
+        if (self.a2a_degree, self.p2p_degree) != (mesh.a2a_degree, mesh.p2p_degree):
+            raise ValueError(
+                f"strategy {self.kind} (a2a {self.a2a_degree}, p2p {self.p2p_degree}) "
+                f"does not match mesh (world {mesh.world_size}, a2a {mesh.a2a_degree}, "
+                f"p2p {mesh.p2p_degree})"
+            )
+
 
 def effective_kv_heads(spec: AttentionSpec, degree: int, kv_replication: bool) -> int:
     """KV head count actually sharded by an a2a group of ``degree``.
@@ -322,28 +331,17 @@ def _check_shards(plan: ShardPlan, shards, name: str, heads: int, head_dim: int)
             )
 
 
-_PLAN_KIND_ERRORS = {
-    "naive_ring": "expected a contiguous plan, got {!r}",
-    "zigzag_ring": "expected a zigzag plan, got {!r}",
-    "ulysses": "ulysses operates on contiguous sequence shards",
-    "two_d": "attention_2d requires a zigzag plan",
-}
-
-
 def _run_attention(kind, mesh, plan, q_shards, k_shards, v_shards, spec,
                    kv_replication=False, fault=None):
     """Check the mesh, plan, heads and shards once, then run every rank."""
-    if kind in RING_KINDS and mesh.a2a_degree != 1:
-        raise ValueError(f"{kind} requires a mesh with a2a_degree == 1")
-    if kind == "ulysses" and mesh.p2p_degree != 1:
-        raise ValueError("ulysses requires a mesh with p2p_degree == 1")
+    config = StrategyConfig(kind, mesh.a2a_degree, mesh.p2p_degree, kv_replication)
     if plan.kind != plan_kind(kind):
-        raise ValueError(_PLAN_KIND_ERRORS[kind].format(plan.kind))
+        raise ValueError(f"{kind} runs on a {plan_kind(kind)} plan, got {plan.kind!r}")
     if mesh.world_size != plan.sp_degree:
         raise ValueError(
             f"mesh (world {mesh.world_size}) does not match plan sp_degree {plan.sp_degree}"
         )
-    effective_kv_heads(spec, mesh.a2a_degree, kv_replication)
+    config.validate_heads(spec)
     _check_shards(plan, q_shards, "q", spec.num_q_heads, spec.head_dim)
     _check_shards(plan, k_shards, "k", spec.num_kv_heads, spec.head_dim)
     _check_shards(plan, v_shards, "v", spec.num_kv_heads, spec.head_dim)
@@ -416,12 +414,7 @@ def execute_strategy(mesh: DeviceMesh, config: StrategyConfig, spec: AttentionSp
     divides the plan granule.  The mesh must have the config's (a2a, p2p)
     factorisation of the world.
     """
-    if (config.a2a_degree, config.p2p_degree) != (mesh.a2a_degree, mesh.p2p_degree):
-        raise ValueError(
-            f"strategy {config.kind} (a2a {config.a2a_degree}, p2p {config.p2p_degree}) "
-            f"does not match mesh (world {mesh.world_size}, a2a {mesh.a2a_degree}, "
-            f"p2p {mesh.p2p_degree})"
-        )
+    config.check_mesh(mesh)
     plan = plan_for_strategy(config, q.shape[1])
     # Built per call, so a wrapper later set on these names (perfbench's tracer) runs.
     run = {"naive_ring": ring_attention, "zigzag_ring": zigzag_ring_attention,

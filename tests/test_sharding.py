@@ -13,6 +13,7 @@ from spsim.sharding import (
     ImagePlaceholder,
     MultimodalSequence,
     SampleSpec,
+    ShardPlan,
     TextToken,
     build_sequences,
     chunk_pair_counts,
@@ -266,6 +267,31 @@ class TestGranuleRule:
                 else f"length {length} not divisible by 2 * sp_degree = {2 * sp}")
         with pytest.raises(ValueError, match=re.escape(text)):
             shard_plan(kind, length, sp)
+
+    @pytest.mark.parametrize("kind", ["contiguous", "zigzag"])
+    def test_chunk_owners_follow_from_kind_degree_and_length(self, kind):
+        for sp in range(1, 17):
+            granule = plan_granule(kind, sp)
+            for multiple in (1, 2, 3, 8):
+                plan = shard_plan(kind, multiple * granule, sp)
+                owned = sorted(c for chunks in plan.assignments for c in chunks)
+                assert owned == list(range(plan.num_chunks))
+                for rank, chunks in enumerate(plan.assignments):
+                    assert [plan.rank_of_chunk(c) for c in chunks] == [rank] * len(chunks)
+                assert plan.chunk_size * plan.num_chunks == plan.padded_length
+                for outside in (-1, plan.num_chunks):
+                    with pytest.raises(ValueError, match=f"chunk {outside} not assigned"):
+                        plan.rank_of_chunk(outside)
+
+    @pytest.mark.parametrize("kind", ["contiguous", "zigzag"])
+    def test_a_plan_built_directly_is_refused_a_non_multiple_length(self, kind):
+        for sp in range(1, 17):
+            granule = plan_granule(kind, sp)
+            need = f"sp_degree {sp}" if kind == "contiguous" else f"2 * sp_degree = {granule}"
+            for length in [0] + [n for n in (granule + 1, 3 * granule - 1) if n % granule]:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"length {length} not divisible by {need}")):
+                    ShardPlan(kind, sp, length, length)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(sp=SP_DEGREES, length=st.integers(1, 10**6))

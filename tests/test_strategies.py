@@ -23,6 +23,8 @@ from spsim.sharding import (
     shard_plan,
 )
 from spsim.strategies import (
+    RING_KINDS,
+    STRATEGY_KINDS,
     StrategyConfig,
     StrategyConfigError,
     _kv_shards,
@@ -31,6 +33,7 @@ from spsim.strategies import (
     execute_strategy,
     packed_a2a_degree,
     plan_for_strategy,
+    plan_kind,
     ring_attention,
     ulysses_attention,
     zigzag_ring_attention,
@@ -328,6 +331,36 @@ class TestPlanForStrategy:
         q, k, v = random_qkv(rng, spec, 32)
         with pytest.raises(ValueError, match="does not match mesh"):
             execute_strategy(mesh, config, spec, q, k, v)
+
+
+WRAPPERS = {"naive_ring": ring_attention, "zigzag_ring": zigzag_ring_attention,
+            "ulysses": ulysses_attention, "two_d": attention_2d}
+
+
+def run_wrapper(kind, mesh, plan_kind_name, length=32):
+    plan = shard_plan(plan_kind_name, length, mesh.world_size)
+    q, k, v = random_qkv(np.random.default_rng(17), SPEC, length)
+    return WRAPPERS[kind](mesh, plan, plan.shard(q, 1), plan.shard(k, 1),
+                          plan.shard(v, 1), SPEC)
+
+
+class TestWrapperRefusals:
+    """Each wrapper refuses through StrategyConfig's degree rules and plan_kind."""
+
+    @pytest.mark.parametrize("kind,a2a", [("naive_ring", 2), ("zigzag_ring", 2),
+                                          ("ulysses", 1)])
+    def test_other_mesh_shape_is_refused_by_the_config_rules(self, kind, a2a):
+        # world 2: the rings on an a2a-2 mesh, ulysses on a p2p-2 mesh
+        with pytest.raises(StrategyConfigError, match=f"^{kind} requires"):
+            run_wrapper(kind, sp_mesh(2, a2a=a2a), plan_kind(kind))
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_other_plan_kind_is_refused_naming_the_wrappers_plan(self, kind):
+        want = plan_kind(kind)
+        other = "zigzag" if want == "contiguous" else "contiguous"
+        mesh = sp_mesh(2, a2a=1 if kind in RING_KINDS else 2)
+        with pytest.raises(ValueError, match=f"^{kind} runs on a {want} plan, got '{other}'$"):
+            run_wrapper(kind, mesh, other)
 
 
 class TestTracedNames:
