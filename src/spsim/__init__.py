@@ -13,6 +13,7 @@ from .numeric import (  # noqa: F401
     blockwise_attention_step,
     finalize_attention,
     init_attention_state,
+    kv_block,
     merge_attention_partials,
     reference_attention,
     start_fold,

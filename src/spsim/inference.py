@@ -19,6 +19,7 @@ from .numeric import (
     AttentionSpec,
     blockwise_attention_step,
     finalize_attention,
+    kv_block,
     merge_attention_partials,
     reference_attention,
     start_fold,
@@ -258,7 +259,7 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
                 new_caches.append(cache)
             fold = start_fold(q, q_pos)
             if cache.positions.size:
-                blockwise_attention_step(fold, [cache.k], [cache.v], [cache.positions])
+                blockwise_attention_step(fold, [kv_block(cache.k, cache.v, cache.positions)])
             gathered = yield handle.all_gather(group, fold.state.as_arrays(), root=owner)
             if rank == owner:
                 merged = merge_attention_partials(

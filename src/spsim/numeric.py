@@ -8,11 +8,14 @@ equivalence checks meaningful.
 
 A ring pass folds every KV block it receives into one accumulator in place:
 ``start_fold`` checks the query block once and owns the accumulator (a
-fresh one, or a copy of a given state), ``blockwise_attention_step(fold,
-...)`` checks the KV blocks and folds them into ``fold.state``, and
-``finalize_attention`` normalizes a state in place.  One step call takes a
-pass's blocks as lists and folds them in runs that share one visible window
-(see ``blockwise_attention_step``), bit for bit as one call per block would.
+fresh one, or a copy of a given state), ``kv_block`` checks a KV block once,
+where its rank made it, and carries its position span (from the shard plan,
+which fixes it, or reduced once), ``blockwise_attention_step(fold, blocks)``
+folds such checked blocks into ``fold.state`` without scanning them again,
+and ``finalize_attention`` normalizes a state in place.  One step call takes
+a pass's blocks as one list and folds them in runs that share one visible
+window (see ``blockwise_attention_step``), bit for bit as one call per block
+would.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "reference_attention",
     "AttentionFold",
     "start_fold",
+    "kv_block",
     "blockwise_attention_step",
     "merge_attention_partials",
     "finalize_attention",
@@ -106,10 +110,24 @@ def _check_array(x, name: str, ndim: int) -> np.ndarray:
 
 
 def _check_positions(pos, name: str, length: int) -> np.ndarray:
-    arr = np.asarray(pos, dtype=np.int64)
+    arr = np.asarray(pos)
+    if arr.dtype != np.int64:
+        # A cast would truncate 0.5 to 0 and move the causal mask; an empty
+        # list reads as float and holds no position to truncate.
+        if arr.dtype.kind not in "iu" and arr.size:
+            raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64)
     if arr.shape != (length,):
         raise ValueError(f"{name} must have shape ({length},), got {arr.shape}")
     return arr
+
+
+def _span(positions: np.ndarray) -> tuple[int, int]:
+    """Least and greatest position, or (0, -1) when there is none."""
+    # argmin / argmax skip the reduction set-up that min / max pay per call.
+    if not positions.size:
+        return (0, -1)
+    return (int(positions[positions.argmin()]), int(positions[positions.argmax()]))
 
 
 def reference_attention(q, k, v, spec: AttentionSpec, q_positions=None, kv_positions=None):
@@ -193,23 +211,46 @@ def start_fold(q_block, q_positions, state: AttentionState | None = None) -> Att
             f"q_block shape {q.shape}"
         )
     q_pos = _check_positions(q_positions, "q_positions", q.shape[1])
-    # argmin / argmax skip the reduction set-up that min / max pay per call.
-    span = (int(q_pos[q_pos.argmin()]), int(q_pos[q_pos.argmax()])) if q_pos.size else (0, -1)
     fresh = state is None
     state = (init_attention_state(*q.shape) if fresh
              else AttentionState(*(a.copy() for a in state.as_arrays())))
-    return AttentionFold(q, q_pos, span, state, fresh)
+    return AttentionFold(q, q_pos, _span(q_pos), state, fresh)
 
 
-def blockwise_attention_step(fold: AttentionFold, k_blocks, v_blocks,
-                             kv_positions) -> AttentionState:
+@dataclass(slots=True)  # one per block a ring hop delivers: a frozen init costs 3x
+class KVBlock:
+    """A KV block that ``kv_block`` checked where its rank made it, with the
+    least and greatest of its positions.  A ring pass rebuilds a received
+    block around the arrays its sender checked, which no fold writes into."""
+
+    k: np.ndarray
+    v: np.ndarray
+    positions: np.ndarray
+    span: tuple[int, int]
+
+
+def kv_block(k, v, positions, span: tuple[int, int] | None = None) -> KVBlock:
+    """Check a KV block once, for every fold it enters: k and v 3-d, finite
+    and of one shape, and one integer position per key.  ``span``, the least
+    and greatest position, comes from the caller where it knows it (a
+    ``ShardPlan`` caches one per group); otherwise it is reduced here."""
+    k = _check_array(k, "k_block", 3)
+    v = _check_array(v, "v_block", 3)
+    if v.shape != k.shape:
+        raise ValueError(f"v_block shape {v.shape} does not match k_block {k.shape}")
+    positions = _check_positions(positions, "kv_positions", k.shape[1])
+    return KVBlock(k, v, positions, _span(positions) if span is None else span)
+
+
+def blockwise_attention_step(fold: AttentionFold, blocks) -> AttentionState:
     """Fold KV blocks into ``fold.state`` in place and return that state.
 
-    ``k_blocks``, ``v_blocks`` and ``kv_positions`` are three lists of one
-    entry per block (3-d k and v and their positions), folded in list
-    order: a ring pass folds its R blocks in hop order in one call, a
-    decode step its one cached block.
-    Every KV block is checked; ``start_fold`` checked the query block.
+    ``blocks`` is a list of ``KVBlock``, folded in list order: a ring pass
+    folds its R blocks in hop order in one call, a decode step its one
+    cached block.  Only checked blocks are accepted: ``kv_block`` checked
+    each one where it was made and gave its position span, and
+    ``start_fold`` checked the query block, so the fold scans no block and
+    reduces no positions.
 
     Safe-softmax update: the running maximum absorbs each block's row maxima
     and earlier contributions are rescaled by exp(old_max - new_max).  A
@@ -235,32 +276,24 @@ def blockwise_attention_step(fold: AttentionFold, k_blocks, v_blocks,
     block.  Keys that no row sees weigh exactly 0, but dropping them
     shortens the matmul and sum, which can move last bits.
     """
-    if not len(k_blocks) == len(v_blocks) == len(kv_positions):
-        raise ValueError(
-            f"k_blocks ({len(k_blocks)}), v_blocks ({len(v_blocks)}) and kv_positions "
-            f"({len(kv_positions)}) must be lists of one entry per block"
-        )
     heads, n_q = fold.q.shape[:2]
     q_pos, (q_lo, q_hi) = fold.q_positions, fold.q_span
     visible = []  # (window, k, v, kv positions, masked) of each block some row sees
-    for k, v, kv_pos in zip(k_blocks, v_blocks, kv_positions):
-        k = _check_array(k, "k_block", 3)
-        v = _check_array(v, "v_block", 3)
-        if v.shape != k.shape:
-            raise ValueError(f"v_block shape {v.shape} does not match k_block {k.shape}")
+    for block in blocks:
+        if not isinstance(block, KVBlock):
+            raise TypeError(f"blocks must be checked by kv_block, got {type(block).__name__}")
+        k, v, kv_pos = block.k, block.v, block.positions
         kv_heads, n_k = k.shape[:2]
         if heads % kv_heads != 0:
             raise ValueError(
                 f"kv head count {kv_heads} does not divide q head count {heads}")
-        kv_pos = _check_positions(kv_pos, "kv_positions", n_k)
         if n_k == 0 or n_q == 0:
             continue
-        kv_lo = kv_pos[kv_pos.argmin()]  # argmin skips min's reduction set-up
+        kv_lo, kv_hi = block.span
         # Every key lies after every query: the update would rescale by 1 and
         # add 0, so skip the arithmetic.
         if kv_lo > q_hi:
             continue
-        kv_hi = kv_pos[kv_pos.argmax()]
         # Unless some key lies after the first query, every row sees every
         # key (each decode block, each earlier block of a contiguous ring):
         # no mask and no cut.

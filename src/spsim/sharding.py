@@ -159,16 +159,26 @@ class ShardPlan:
 
     def group_positions(self, ranks: tuple[int, ...]) -> np.ndarray:
         """Sorted global positions of a group of ranks' rows (read-only, built
-        once per group and plan)."""
-        positions = self._group_positions.get(ranks)
-        if positions is None:
-            positions = np.sort(np.concatenate([self.rank_positions(r) for r in ranks]))
-            positions.flags.writeable = False
-            self._group_positions[ranks] = positions
-        return positions
+        once per group and plan; a group of one holds its rank's positions)."""
+        return self._group(ranks)[0]
+
+    def group_span(self, ranks: tuple[int, ...]) -> tuple[int, int]:
+        """Least and greatest of ``group_positions(ranks)``, cached with them."""
+        return self._group(ranks)[1]
+
+    def _group(self, ranks: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, int]]:
+        entry = self._groups.get(ranks)
+        if entry is None:
+            if len(ranks) == 1:
+                positions = self.rank_positions(ranks[0])  # ascending already
+            else:
+                positions = np.sort(np.concatenate([self.rank_positions(r) for r in ranks]))
+                positions.flags.writeable = False
+            entry = self._groups[ranks] = (positions, (int(positions[0]), int(positions[-1])))
+        return entry
 
     @cached_property
-    def _group_positions(self) -> dict[tuple[int, ...], np.ndarray]:
+    def _groups(self) -> dict[tuple[int, ...], tuple[np.ndarray, tuple[int, int]]]:
         return {}
 
     def rank_of_chunk(self, chunk: int) -> int:

@@ -24,8 +24,10 @@ import numpy as np
 from .fabric import DeviceMesh, Topology, rank_program, run_program
 from .numeric import (
     AttentionSpec,
+    KVBlock,
     blockwise_attention_step,
     finalize_attention,
+    kv_block,
     start_fold,
 )
 from .sharding import ShardPlan, shard_plan
@@ -198,32 +200,40 @@ class StrategyRun:
 # Shared blockwise engine
 # ---------------------------------------------------------------------------
 
-def _ring_pass(handle, ring_group, q, k, v, q_pos, kv_positions_of):
-    """Rotate KV around ``ring_group`` and accumulate blockwise attention.
+def _ring_pass(handle, plan, q, k, v):
+    """Rotate KV around the rank's ring group and accumulate blockwise attention.
 
     A generator: it yields each hop's collective and returns the output.
-    ``kv_positions_of(member)`` returns the global positions of the KV rows
-    originally held by that ring member.  The pass checks ``q`` and its
-    positions once, runs its R-1 point-to-point hops, keeping each (k, v)
-    tuple the fabric hands over, and then folds the R blocks in hop order
-    into one accumulator in place, in one ``blockwise_attention_step`` call
-    that still checks every block.  The fold owns the accumulator, so the
-    pass finalizes into it and returns it.
+    Every ring member holds the rows of its a2a group's positions
+    (``plan.group_positions``; at a2a degree 1, its own rank's), in ``q``
+    and in its KV block alike.  The pass checks ``q`` once and its own KV
+    block once, where it was made (``start_fold``, ``kv_block`` with the
+    span the plan caches), and runs its R-1 point-to-point hops, sending
+    plain (k, v) tuples.  The fabric hands over the sender's checked arrays
+    and no fold writes into them, so each received block is kept as its
+    sender checked it, with its positions and span from the plan, and never
+    scanned again.  The R blocks are then folded in hop order into one
+    accumulator in place, in one ``blockwise_attention_step`` call.  The fold
+    owns the accumulator, so the pass finalizes into it and returns it.
     """
-    ring = tuple(ring_group)
+    mesh = handle.mesh
+    ring = mesh.p2p_group_of(handle.rank)
     size = len(ring)
     me = ring.index(handle.rank)
-    fold = start_fold(q, q_pos)
+    groups = [mesh.a2a_group_of(ring[(me - hop) % size]) for hop in range(size)]
+    positions = plan.group_positions(groups[0])
+    fold = start_fold(q, positions)
+    own = kv_block(k, v, positions, plan.group_span(groups[0]))
     dst = ring[(me + 1) % size]
     src = ring[(me - 1) % size]
-    kv = (k, v)
-    k_blocks, v_blocks = [k], [v]
+    received = [(own.k, own.v)]
     for _ in range(size - 1):
-        kv = yield handle.send_recv(ring, dst, src, kv)
-        k_blocks.append(kv[0])
-        v_blocks.append(kv[1])
-    blockwise_attention_step(fold, k_blocks, v_blocks,
-                             [kv_positions_of(ring[(me - hop) % size]) for hop in range(size)])
+        received.append((yield handle.send_recv(ring, dst, src, received[-1])))
+    # The blocks are built only now, so a rank waiting on a hop holds no
+    # per-hop object that the cycle collector would traverse at every pass.
+    blockwise_attention_step(fold, [own] + [
+        KVBlock(k, v, plan.group_positions(group), plan.group_span(group))
+        for (k, v), group in zip(received[1:], groups[1:])])
     return finalize_attention(fold.state)
 
 
@@ -282,11 +292,9 @@ def attention_rank_body(handle, mesh, plan, spec, q, k, v, kv_replication):
     exchange.
     """
     a2a_group = mesh.a2a_group_of(handle.rank)
-    ring_group = mesh.p2p_group_of(handle.rank)
     degree = len(a2a_group)
     if degree == 1:
-        return (yield from _ring_pass(handle, ring_group, q, k, v,
-                                      plan.rank_positions(handle.rank), plan.rank_positions))
+        return (yield from _ring_pass(handle, plan, q, k, v))
     effective_kv = effective_kv_heads(spec, degree, kv_replication)
     received = yield handle.all_to_all(a2a_group, list(zip(
         [q[cut] for cut in _head_slices(spec.num_q_heads, degree)],
@@ -307,12 +315,7 @@ def attention_rank_body(handle, mesh, plan, spec, q, k, v, kv_replication):
         segments.append(np.broadcast_to(segment, (first.shape[0],) + segment.shape[1:])
                         if heads < first.shape[0] else segment)
     del received
-
-    def segment_positions(ring_member):
-        return plan.group_positions(mesh.a2a_group_of(ring_member))
-
-    out_seg = yield from _ring_pass(handle, ring_group, *segments, positions,
-                                    segment_positions)
+    out_seg = yield from _ring_pass(handle, plan, *segments)
     del segments
     # Route each member's rows back (in its own plan-local order) and restack heads.
     out_shards = [out_seg.take(member_rows, axis=1) for member_rows in rows]

@@ -12,9 +12,11 @@ from spsim.fabric import Topology, build_mesh
 from spsim.numeric import (
     AttentionSpec,
     AttentionState,
+    KVBlock,
     blockwise_attention_step,
     finalize_attention,
     init_attention_state,
+    kv_block,
     merge_attention_partials,
     reference_attention,
     start_fold,
@@ -137,6 +139,69 @@ class TestReferenceAttention:
             reference_attention(q, k, v, spec, np.array([0, 2, 1, 3]), np.arange(4))
 
 
+class TestIntegerPositions:
+    """Positions are token indices: a fractional one is refused by the one
+    position check the oracle, ``start_fold`` and ``kv_block`` share,
+    instead of being truncated into a wrong causal mask."""
+
+    def test_oracle_refuses_fractional_positions(self):
+        spec = AttentionSpec(num_q_heads=1, num_kv_heads=1, head_dim=2)
+        q, k, v = _random_qkv(np.random.default_rng(6), spec, 2)
+        with pytest.raises(ValueError, match="q_positions must be integers"):
+            reference_attention(q, k, v, spec, [0.5, 1.7], [0, 1])
+        with pytest.raises(ValueError, match="kv_positions must be integers"):
+            reference_attention(q, k, v, spec, [0, 1], np.array([0.0, 1.5]))
+
+    def test_start_fold_refuses_fractional_positions(self):
+        q = np.random.default_rng(7).standard_normal((2, 2, 4))
+        with pytest.raises(ValueError, match="q_positions must be integers"):
+            start_fold(q, [0.5, 1.7])
+
+    def test_kv_block_refuses_fractional_positions(self):
+        k = v = np.random.default_rng(8).standard_normal((1, 3, 4))
+        with pytest.raises(ValueError, match="kv_positions must be integers"):
+            kv_block(k, v, [0.0, 1.0, 2.5])
+        with pytest.raises(ValueError, match="kv_positions must be integers"):
+            kv_block(k, v, np.array([True, False, True]))
+
+    def test_integer_lists_and_empty_positions_are_accepted(self):
+        rng = np.random.default_rng(9)
+        k = v = rng.standard_normal((1, 3, 4))
+        block = kv_block(k, v, [4, 0, 2])
+        assert block.positions.dtype == np.int64 and block.span == (0, 4)
+        assert kv_block(k[:, :0], v[:, :0], []).span == (0, -1)
+        assert start_fold(rng.standard_normal((1, 0, 4)), []).q_positions.dtype == np.int64
+
+
+class TestKVBlock:
+    """``kv_block`` is the one KV check: shape, finiteness, k/v agreement,
+    positions; the fold itself scans no block."""
+
+    @pytest.mark.parametrize("k_shape,v_shape,nan_in,message", [
+        ((2, 3, 4), (2, 3, 4), "k", "k_block contains non-finite entries"),
+        ((2, 3, 4), (2, 3, 4), "v", "v_block contains non-finite entries"),
+        ((3, 4), (3, 4), None, "k_block must be 3-d"),
+        ((2, 3, 4), (2, 2, 4), None, "v_block shape"),
+    ])
+    def test_refuses_malformed_blocks(self, k_shape, v_shape, nan_in, message):
+        rng = np.random.default_rng(10)
+        k, v = rng.standard_normal(k_shape), rng.standard_normal(v_shape)
+        if nan_in:
+            {"k": k, "v": v}[nan_in][1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match=message):
+            kv_block(k, v, np.arange(k_shape[-2]))
+
+    def test_refuses_positions_of_the_wrong_length(self):
+        k = v = np.zeros((1, 3, 2))
+        with pytest.raises(ValueError, match=r"kv_positions must have shape \(3,\)"):
+            kv_block(k, v, np.arange(4))
+
+    def test_span_is_reduced_unless_given(self):
+        k = v = np.zeros((1, 4, 2))
+        assert kv_block(k, v, np.array([7, 3, 9, 5])).span == (3, 9)
+        assert kv_block(k, v, np.arange(4), (0, 3)).span == (0, 3)
+
+
 @st.composite
 def oracle_inputs(draw):
     """(spec, q, k, v, q positions, KV positions): random GQA shapes and
@@ -177,7 +242,7 @@ class TestBlockwiseAccumulation:
         q, k, v = _random_qkv(rng, spec, 32)
         pos = np.arange(32)
         fold = start_fold(q, pos, init_attention_state(4, 32, 8))
-        blockwise_attention_step(fold, [k], [v], [pos])
+        blockwise_attention_step(fold, [kv_block(k, v, pos)])
         got = finalize_attention(fold.state)
         want = reference_attention(q, k, v, spec)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -190,7 +255,7 @@ class TestBlockwiseAccumulation:
         fold = start_fold(q, pos, init_attention_state(4, 64, 8))
         for start in range(0, 64, 16):
             block = slice(start, start + 16)
-            blockwise_attention_step(fold, [k[:, block]], [v[:, block]], [pos[block]])
+            blockwise_attention_step(fold, [kv_block(k[:, block], v[:, block], pos[block])])
         got = finalize_attention(fold.state)
         want = reference_attention(q, k, v, spec)
         assert np.max(np.abs(got - want)) < 1e-10
@@ -201,11 +266,12 @@ class TestBlockwiseAccumulation:
         q, k, v = _random_qkv(rng, spec, 8)
         pos = np.arange(8)
         fold = start_fold(q, pos, init_attention_state(2, 8, 4))
-        before = [a.copy() for a in blockwise_attention_step(fold, [k], [v], [pos]).as_arrays()]
+        before = [a.copy()
+                  for a in blockwise_attention_step(fold, [kv_block(k, v, pos)]).as_arrays()]
         # every key position beyond every query position
         future_k = rng.standard_normal((2, 5, 4))
         future_v = rng.standard_normal((2, 5, 4))
-        after = blockwise_attention_step(fold, [future_k], [future_v], [np.arange(100, 105)])
+        after = blockwise_attention_step(fold, [kv_block(future_k, future_v, np.arange(100, 105))])
         for kept, now in zip(before, after.as_arrays()):
             np.testing.assert_array_equal(now, kept)
 
@@ -228,7 +294,7 @@ class TestBlockwiseAccumulation:
         fold = start_fold(q, pos, init_attention_state(q_heads, length, head_dim))
         for bi in order:
             rows = blocks[bi]
-            blockwise_attention_step(fold, [k[:, rows]], [v[:, rows]], [pos[rows]])
+            blockwise_attention_step(fold, [kv_block(k[:, rows], v[:, rows], pos[rows])])
         got = finalize_attention(fold.state)
         want = reference_attention(q, k, v, spec)
         assert np.max(np.abs(got - want)) < 1e-10
@@ -247,7 +313,7 @@ class TestBlockwiseAccumulation:
         cuts = np.sort(rng.choice(np.arange(1, length), size=3, replace=False))
         fold = start_fold(q, pos, init_attention_state(q_heads, length, 8))
         for rows in np.split(rng.permutation(length), cuts):
-            blockwise_attention_step(fold, [k[:, rows]], [v[:, rows]], [pos[rows]])
+            blockwise_attention_step(fold, [kv_block(k[:, rows], v[:, rows], pos[rows])])
         assert np.max(np.abs(finalize_attention(fold.state) - want)) < 1e-12
 
     @pytest.mark.parametrize("kv_start", [0, 100], ids=["normal", "fully-masked"])
@@ -257,10 +323,10 @@ class TestBlockwiseAccumulation:
         q, k, v = _random_qkv(rng, spec, 8)
         pos = np.arange(8)
         state = blockwise_attention_step(start_fold(q, pos, init_attention_state(4, 8, 4)),
-                                         [k[:, :4]], [v[:, :4]], [pos[:4]])
+                                         [kv_block(k[:, :4], v[:, :4], pos[:4])])
         before = [a.copy() for a in state.as_arrays()]
-        blockwise_attention_step(start_fold(q, pos, state), [k[:, 4:]], [v[:, 4:]],
-                                 [pos[4:] + kv_start])
+        blockwise_attention_step(start_fold(q, pos, state),
+                                 [kv_block(k[:, 4:], v[:, 4:], pos[4:] + kv_start)])
         for kept, now in zip(before, state.as_arrays()):
             assert kept.tobytes() == now.tobytes()
 
@@ -275,7 +341,7 @@ class TestBlockwiseAccumulation:
         np.testing.assert_array_equal(reference_attention(q_view, k, v, spec),
                                       reference_attention(q_copy, k, v, spec))
         states = [blockwise_attention_step(start_fold(q, pos, init_attention_state(4, 10, 8)),
-                                           [k], [v], [pos])
+                                           [kv_block(k, v, pos)])
                   for q in (q_view, q_copy)]
         for a, b in zip(*(s.as_arrays() for s in states)):
             np.testing.assert_array_equal(a, b)
@@ -286,7 +352,7 @@ class TestBlockwiseAccumulation:
         k = v = rng.standard_normal((2, 4, 2))
         with pytest.raises(ValueError, match="kv head count 2 does not divide q head count 3"):
             blockwise_attention_step(start_fold(q, np.arange(4), init_attention_state(3, 4, 2)),
-                                     [k], [v], [np.arange(4)])
+                                     [kv_block(k, v, np.arange(4))])
 
     def test_rejects_state_shape_mismatch(self):
         spec = AttentionSpec(num_q_heads=2, num_kv_heads=2, head_dim=4)
@@ -316,7 +382,7 @@ class TestMergePartials:
         q, k, v = _random_qkv(rng, spec, 12)
         pos = np.arange(12)
         state = blockwise_attention_step(start_fold(q, pos, init_attention_state(2, 12, 4)),
-                                         [k], [v], [pos])
+                                         [kv_block(k, v, pos)])
         merged = merge_attention_partials(state, init_attention_state(2, 12, 4))
         np.testing.assert_array_equal(merged.partial_output, state.partial_output)
         np.testing.assert_array_equal(merged.running_denominator, state.running_denominator)
@@ -327,9 +393,9 @@ class TestMergePartials:
         q, k, v = _random_qkv(rng, spec, 30)
         pos = np.arange(30)
         a = blockwise_attention_step(start_fold(q, pos, init_attention_state(4, 30, 8)),
-                                     [k[:, :14]], [v[:, :14]], [pos[:14]])
+                                     [kv_block(k[:, :14], v[:, :14], pos[:14])])
         b = blockwise_attention_step(start_fold(q, pos, init_attention_state(4, 30, 8)),
-                                     [k[:, 14:]], [v[:, 14:]], [pos[14:]])
+                                     [kv_block(k[:, 14:], v[:, 14:], pos[14:])])
         ab = finalize_attention(merge_attention_partials(a, b))
         ba = finalize_attention(merge_attention_partials(b, a))
         assert np.max(np.abs(ab - ba)) < 1e-12
@@ -346,7 +412,7 @@ class TestMergePartials:
         for rows in (np.flatnonzero(mask), np.flatnonzero(~mask)):
             fold = start_fold(q, pos, init_attention_state(4, length, 8))
             if rows.size:
-                blockwise_attention_step(fold, [k[:, rows]], [v[:, rows]], [pos[rows]])
+                blockwise_attention_step(fold, [kv_block(k[:, rows], v[:, rows], pos[rows])])
             halves.append(fold.state)
         got = finalize_attention(merge_attention_partials(*halves))
         want = reference_attention(q, k, v, spec)
@@ -433,7 +499,7 @@ def _partials(q, k, v, q_pos, blocks):
     states = []
     for block in blocks:
         fold = start_fold(q, q_pos)
-        blockwise_attention_step(fold, [k[:, block]], [v[:, block]], [block])
+        blockwise_attention_step(fold, [kv_block(k[:, block], v[:, block], block)])
         states.append(fold.state)
     return states
 
@@ -453,8 +519,8 @@ class TestDecodeFold:
             kv_pos[-1] = q_pos[0]  # the newest key at the query's position, as on the owner
         fold = start_fold(q, q_pos)
         if cached:
-            blockwise_attention_step(fold, [k], [v], [kv_pos])
-        general = blockwise_attention_step(_general_fold(q, q_pos), [k], [v], [kv_pos])
+            blockwise_attention_step(fold, [kv_block(k, v, kv_pos)])
+        general = blockwise_attention_step(_general_fold(q, q_pos), [kv_block(k, v, kv_pos)])
         for a, b in zip(general.as_arrays(), fold.state.as_arrays()):
             assert a.tobytes() == b.tobytes()
         if cached:
@@ -480,8 +546,8 @@ class TestFirstFoldInPlace:
         v = -np.abs(rng.standard_normal((kv_heads, len(kv_pos), 4)))  # 0 * v is -0.0
         q_pos, kv_pos = np.array(q_pos), np.array(kv_pos)
         fold = start_fold(q, q_pos)
-        blockwise_attention_step(fold, [k], [v], [kv_pos])
-        general = blockwise_attention_step(_general_fold(q, q_pos), [k], [v], [kv_pos])
+        blockwise_attention_step(fold, [kv_block(k, v, kv_pos)])
+        general = blockwise_attention_step(_general_fold(q, q_pos), [kv_block(k, v, kv_pos)])
         for a, b in zip(general.as_arrays(), fold.state.as_arrays()):
             assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
@@ -494,8 +560,8 @@ class TestFoldProperty:
         general = _general_fold(q, q_pos)
         fold = start_fold(q, q_pos)
         for block in blocks:
-            blockwise_attention_step(general, [k[:, block]], [v[:, block]], [block])
-            blockwise_attention_step(fold, [k[:, block]], [v[:, block]], [block])
+            blockwise_attention_step(general, [kv_block(k[:, block], v[:, block], block)])
+            blockwise_attention_step(fold, [kv_block(k[:, block], v[:, block], block)])
         for a, b in zip(general.state.as_arrays(), fold.state.as_arrays()):
             assert a.tobytes() == b.tobytes()
         want = finalize_attention(general.state)
@@ -512,13 +578,13 @@ class TestFoldProperty:
         _spec, q, k, v, q_pos, blocks = _chain_inputs(chain)
         uncut, first = start_fold(q, q_pos), start_fold(q, q_pos)
         for block in blocks:
-            blockwise_attention_step(uncut, [k[:, block]], [v[:, block]], [block])
+            blockwise_attention_step(uncut, [kv_block(k[:, block], v[:, block], block)])
         for block in blocks[:split]:
-            blockwise_attention_step(first, [k[:, block]], [v[:, block]], [block])
+            blockwise_attention_step(first, [kv_block(k[:, block], v[:, block], block)])
         before = [a.tobytes() for a in first.state.as_arrays()]
         resumed = start_fold(q, q_pos, first.state)
         for block in blocks[split:]:
-            blockwise_attention_step(resumed, [k[:, block]], [v[:, block]], [block])
+            blockwise_attention_step(resumed, [kv_block(k[:, block], v[:, block], block)])
         assert [a.tobytes() for a in first.state.as_arrays()] == before
         for a, b in zip(uncut.state.as_arrays(), resumed.state.as_arrays()):
             assert a.tobytes() == b.tobytes()
@@ -529,7 +595,7 @@ class TestFoldProperty:
         spec, q, k, v, q_pos, blocks = _chain_inputs(chain)
         fold = start_fold(q, q_pos)
         for block in blocks:
-            blockwise_attention_step(fold, [k[:, block]], [v[:, block]], [block])
+            blockwise_attention_step(fold, [kv_block(k[:, block], v[:, block], block)])
         want = reference_attention(q, k, v, spec, q_positions=q_pos)
         assert np.max(np.abs(finalize_attention(fold.state) - want)) < 1e-10
 
@@ -568,13 +634,15 @@ class TestFoldList:
 
     @pytest.mark.parametrize("length", [4, 2], ids=["lengths-differ", "lengths-agree"])
     def test_bare_block_is_refused(self, length):
-        # Blocks come only as lists.  A bare (2, length, 4) k block is two
-        # 2-d entries, refused by count or, when that agrees, by shape.
+        # Blocks come only as kv_block's checked blocks.  A bare (2, length,
+        # 4) k block, a list of bare arrays and a (k, v, positions) tuple
+        # are each refused before any arithmetic.
         rng = np.random.default_rng(17)
         q = rng.standard_normal((2, 4, 4))
         k = v = rng.standard_normal((2, length, 4))
-        with pytest.raises(ValueError, match="k_block"):
-            blockwise_attention_step(start_fold(q, np.arange(4)), k, v, np.arange(length))
+        for blocks in (k, [k], [(k, v, np.arange(length))]):
+            with pytest.raises(TypeError, match="blocks must be checked by kv_block"):
+                blockwise_attention_step(start_fold(q, np.arange(4)), blocks)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(chain=fold_chains(), data=st.data())
@@ -603,13 +671,15 @@ class TestFoldList:
         if data.draw(st.booleans(), label="resumed"):
             split = data.draw(st.integers(0, len(blocks)))
             first = start_fold(q, q_pos)
-            blockwise_attention_step(first, ks[:split], vs[:split], blocks[:split])
+            blockwise_attention_step(first, [kv_block(*block) for block in
+                                             zip(ks[:split], vs[:split], blocks[:split])])
             state = first.state
             ks, vs, blocks = ks[split:], vs[split:], blocks[split:]
         listed, chained = start_fold(q, q_pos, state), start_fold(q, q_pos, state)
-        assert blockwise_attention_step(listed, ks, vs, blocks) is listed.state
+        assert blockwise_attention_step(
+            listed, [kv_block(*block) for block in zip(ks, vs, blocks)]) is listed.state
         for k_block, v_block, kv_pos in zip(ks, vs, blocks):
-            blockwise_attention_step(chained, [k_block], [v_block], [kv_pos])
+            blockwise_attention_step(chained, [kv_block(k_block, v_block, kv_pos)])
         for a, b in zip(listed.state.as_arrays(), chained.state.as_arrays()):
             assert a.tobytes() == b.tobytes()
 
@@ -638,11 +708,43 @@ class TestFoldList:
                       [plan.rank_positions(s) for s in sources])
             runs.clear()
             listed = start_fold(q[rank], plan.rank_positions(rank))
-            blockwise_attention_step(listed, *blocks)
+            blockwise_attention_step(listed, [kv_block(*block) for block in zip(*blocks)])
             assert runs == ([rank + 1] if kind == "contiguous"
                             else [1] + [n for n in (rank, world - 1 - rank) if n])
             chained = start_fold(q[rank], plan.rank_positions(rank))
             for k_block, v_block, kv_pos in zip(*blocks):
-                blockwise_attention_step(chained, [k_block], [v_block], [kv_pos])
+                blockwise_attention_step(chained, [kv_block(k_block, v_block, kv_pos)])
             for a, b in zip(listed.state.as_arrays(), chained.state.as_arrays()):
                 assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind,a2a", [("contiguous", 1), ("zigzag", 1), ("zigzag", 2)])
+    def test_plan_spans_fold_as_reduced_spans_and_single_folds_bitwise(self, kind, a2a):
+        # A ring pass's blocks as the strategies build them: spans from the
+        # plan, received blocks rebuilt around arrays their sender checked.
+        # The list folds bit for bit as the same blocks with spans that
+        # kv_block reduces, and as the chain of their single-block folds.
+        world = 8
+        spec = AttentionSpec(num_q_heads=4, num_kv_heads=2, head_dim=4)
+        plan = shard_plan(kind, 4 * world, world)
+        mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=world), a2a)
+        q, k, v = _random_qkv(np.random.default_rng(23), spec, 4 * world)
+        groups = sorted({mesh.a2a_group_of(rank) for rank in range(world)})
+        for me, group in enumerate(groups):
+            sources = [groups[(me - hop) % len(groups)] for hop in range(len(groups))]
+            own = plan.group_positions(group)
+            states = []
+            for span_of in (plan.group_span, lambda g: None):
+                blocks = [kv_block(k[:, plan.group_positions(g)], v[:, plan.group_positions(g)],
+                                   plan.group_positions(g), span_of(g)) for g in sources]
+                if span_of is plan.group_span:
+                    blocks[1:] = [KVBlock(b.k, b.v, b.positions, b.span) for b in blocks[1:]]
+                listed = start_fold(q[:, own], own)
+                blockwise_attention_step(listed, blocks)
+                states.append(listed.state)
+                chained = start_fold(q[:, own], own)
+                for block in blocks:
+                    blockwise_attention_step(chained, [block])
+                states.append(chained.state)
+            for state in states[1:]:
+                for a, b in zip(states[0].as_arrays(), state.as_arrays()):
+                    assert a.tobytes() == b.tobytes()

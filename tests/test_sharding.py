@@ -180,6 +180,24 @@ class TestZigzagPlan:
         with pytest.raises(ValueError, match="read-only"):
             positions[0] = 99
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(("contiguous", "zigzag")), sp=st.integers(1, 16),
+           granules=st.integers(1, 3))
+    def test_every_group_span_is_the_extent_of_its_ascending_positions(self, kind, sp,
+                                                                       granules):
+        # Folds take each KV block's span from the plan instead of reducing
+        # its positions: the cached span must be their least and greatest,
+        # for every a2a group of every degree, a group of one included.
+        plan = shard_plan(kind, granules * plan_granule(kind, sp), sp)
+        for a2a in (d for d in range(1, sp + 1) if sp % d == 0):
+            mesh = mesh_of(sp, a2a)
+            for group in {mesh.a2a_group_of(rank) for rank in range(sp)}:
+                positions = plan.group_positions(group)
+                assert np.all(np.diff(positions) > 0)
+                assert plan.group_span(group) == (positions.min(), positions.max())
+                if a2a == 1:
+                    assert positions is plan.rank_positions(group[0])
+
     @pytest.mark.parametrize("sp", [2, 4, 8])
     def test_causal_chunk_pairs_equal_2p_plus_1(self, sp):
         plan = shard_plan("zigzag", 8 * sp, sp)

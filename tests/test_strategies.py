@@ -12,6 +12,7 @@ from spsim.numeric import (
     AttentionSpec,
     blockwise_attention_step,
     finalize_attention,
+    kv_block,
     reference_attention,
     start_fold,
 )
@@ -454,7 +455,7 @@ def fold_as_it_arrives(plan, q_shards, k_shards, v_shards):
         kv = (k_shards[rank], v_shards[rank])
         for hop in range(size):
             source = ring[(me - hop) % size]
-            blockwise_attention_step(fold, [kv[0]], [kv[1]], [plan.rank_positions(source)])
+            blockwise_attention_step(fold, [kv_block(kv[0], kv[1], plan.rank_positions(source))])
             if hop < size - 1:
                 kv = yield handle.send_recv(ring, ring[(me + 1) % size], ring[(me - 1) % size],
                                             kv)
@@ -505,6 +506,58 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match=message):
             execute_strategy(sp_mesh(8, a2a), config, SPEC, q, k, v)
         assert len(started) > 1 and sorted(closed) == sorted(started)
+
+    @pytest.mark.parametrize("kind,a2a,p2p", [
+        ("naive_ring", 1, 8), ("zigzag_ring", 1, 8), ("ulysses", 2, 1), ("two_d", 2, 4),
+    ])
+    def test_nan_in_v_raises(self, monkeypatch, kind, a2a, p2p):
+        # v is checked with k, once, where its rank made the block: a NaN in
+        # one rank's v fails the run from inside the rank programs.
+        import spsim.strategies as strategies
+
+        started, closed = [], []
+        original = strategies.attention_rank_body
+
+        def watched(handle, *args):
+            started.append(handle.rank)
+            try:
+                return (yield from original(handle, *args))
+            finally:
+                closed.append(handle.rank)
+
+        monkeypatch.setattr(strategies, "attention_rank_body", watched)
+        q, k, v = random_qkv(np.random.default_rng(20), SPEC, 64)
+        v[1, 37, 3] = np.nan  # in one rank's shard
+        config = StrategyConfig(kind, a2a_degree=a2a, p2p_degree=p2p)
+        with pytest.raises(ValueError, match="v_block contains non-finite entries"):
+            execute_strategy(sp_mesh(a2a * p2p, a2a), config, SPEC, q, k, v)
+        assert len(started) > 1 and sorted(closed) == sorted(started)
+
+
+class TestChecksAtOrigin:
+    """Each KV block is scanned once, by the rank that made it, and then
+    travels the ring unchecked: W scans per tensor per run, not W * R."""
+
+    @pytest.mark.parametrize("kind,a2a,p2p", [
+        ("naive_ring", 1, 8), ("zigzag_ring", 1, 8), ("ulysses", 2, 1), ("two_d", 2, 4),
+    ])
+    def test_one_scan_per_rank_and_tensor(self, monkeypatch, kind, a2a, p2p):
+        import spsim.numeric as numeric
+
+        scans = Counter()
+        original = numeric._check_array
+
+        def counted(x, name, ndim):
+            scans[name] += 1
+            return original(x, name, ndim)
+
+        monkeypatch.setattr(numeric, "_check_array", counted)
+        q, k, v = random_qkv(np.random.default_rng(21), SPEC, 32)
+        config = StrategyConfig(kind, a2a_degree=a2a, p2p_degree=p2p)
+        run = execute_strategy(sp_mesh(a2a * p2p, a2a), config, SPEC, q, k, v)
+        world = a2a * p2p
+        assert scans == {"q_block": world, "k_block": world, "v_block": world}
+        assert np.max(np.abs(run.gathered() - reference_attention(q, k, v, SPEC))) < 1e-10
 
 
 # How an a2a group's KV head shards lie over the KV heads.
