@@ -9,13 +9,14 @@ equivalence checks meaningful.
 A ring pass folds every KV block it receives into one accumulator in place:
 ``start_fold`` checks the query block once and owns the accumulator (a
 fresh one, or a copy of a given state), ``kv_block`` checks a KV block once,
-where its rank made it, and carries its position span (from the shard plan,
-which fixes it, or reduced once), ``blockwise_attention_step(fold, blocks)``
-folds such checked blocks into ``fold.state`` without scanning them again,
-and ``finalize_attention`` normalizes a state in place.  One step call takes
-a pass's blocks as one list and folds them in runs that share one visible
-window (see ``blockwise_attention_step``), bit for bit as one call per block
-would.
+where its rank made it, and carries its position span,
+``blockwise_attention_step(fold, blocks)`` folds such checked blocks into
+``fold.state`` without scanning them again, and ``finalize_attention``
+normalizes a state in place.  A ring pass rebuilds each block it receives
+around the arrays its sender checked, with positions and span from the shard
+plan.  One step call takes a pass's blocks as one list and folds them in runs
+that share one visible window (see ``blockwise_attention_step``), bit for bit
+as one call per block would.
 """
 
 from __future__ import annotations
@@ -218,10 +219,13 @@ def start_fold(q_block, q_positions, state: AttentionState | None = None) -> Att
 
 
 @dataclass(slots=True)  # one per block a ring hop delivers: a frozen init costs 3x
-class KVBlock:
-    """A KV block that ``kv_block`` checked where its rank made it, with the
-    least and greatest of its positions.  A ring pass rebuilds a received
-    block around the arrays its sender checked, which no fold writes into."""
+class _KVBlock:
+    """A checked KV block with the least and greatest of its positions.
+
+    Built by ``kv_block``, the public way to make one.  Only a ring pass
+    builds one directly, around arrays the block's sender checked with
+    ``kv_block`` (the fabric hands over the sender's objects and no fold
+    writes into them), with positions and span from the shard plan."""
 
     k: np.ndarray
     v: np.ndarray
@@ -229,24 +233,23 @@ class KVBlock:
     span: tuple[int, int]
 
 
-def kv_block(k, v, positions, span: tuple[int, int] | None = None) -> KVBlock:
+def kv_block(k, v, positions) -> _KVBlock:
     """Check a KV block once, for every fold it enters: k and v 3-d, finite
-    and of one shape, and one integer position per key.  ``span``, the least
-    and greatest position, comes from the caller where it knows it (a
-    ``ShardPlan`` caches one per group); otherwise it is reduced here."""
+    and of one shape, and one integer position per key.  The block carries
+    its span, the least and greatest position, reduced here once."""
     k = _check_array(k, "k_block", 3)
     v = _check_array(v, "v_block", 3)
     if v.shape != k.shape:
         raise ValueError(f"v_block shape {v.shape} does not match k_block {k.shape}")
     positions = _check_positions(positions, "kv_positions", k.shape[1])
-    return KVBlock(k, v, positions, _span(positions) if span is None else span)
+    return _KVBlock(k, v, positions, _span(positions))
 
 
 def blockwise_attention_step(fold: AttentionFold, blocks) -> AttentionState:
     """Fold KV blocks into ``fold.state`` in place and return that state.
 
-    ``blocks`` is a list of ``KVBlock``, folded in list order: a ring pass
-    folds its R blocks in hop order in one call, a decode step its one
+    ``blocks`` is a list of checked blocks, folded in list order: a ring
+    pass folds its R blocks in hop order in one call, a decode step its one
     cached block.  Only checked blocks are accepted: ``kv_block`` checked
     each one where it was made and gave its position span, and
     ``start_fold`` checked the query block, so the fold scans no block and
@@ -280,7 +283,7 @@ def blockwise_attention_step(fold: AttentionFold, blocks) -> AttentionState:
     q_pos, (q_lo, q_hi) = fold.q_positions, fold.q_span
     visible = []  # (window, k, v, kv positions, masked) of each block some row sees
     for block in blocks:
-        if not isinstance(block, KVBlock):
+        if not isinstance(block, _KVBlock):
             raise TypeError(f"blocks must be checked by kv_block, got {type(block).__name__}")
         k, v, kv_pos = block.k, block.v, block.positions
         kv_heads, n_k = k.shape[:2]

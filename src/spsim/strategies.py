@@ -24,7 +24,7 @@ import numpy as np
 from .fabric import DeviceMesh, Topology, rank_program, run_program
 from .numeric import (
     AttentionSpec,
-    KVBlock,
+    _KVBlock,
     blockwise_attention_step,
     finalize_attention,
     kv_block,
@@ -207,11 +207,11 @@ def _ring_pass(handle, plan, q, k, v):
     Every ring member holds the rows of its a2a group's positions
     (``plan.group_positions``; at a2a degree 1, its own rank's), in ``q``
     and in its KV block alike.  The pass checks ``q`` once and its own KV
-    block once, where it was made (``start_fold``, ``kv_block`` with the
-    span the plan caches), and runs its R-1 point-to-point hops, sending
-    plain (k, v) tuples.  The fabric hands over the sender's checked arrays
-    and no fold writes into them, so each received block is kept as its
-    sender checked it, with its positions and span from the plan, and never
+    block once, where it was made (``start_fold``, ``kv_block``), and runs
+    its R-1 point-to-point hops, sending plain (k, v) tuples of the checked
+    float64 arrays.  The fabric hands over the sender's checked arrays and
+    no fold writes into them, so each received block is kept as its sender
+    checked it, with its positions and span from the plan, and never
     scanned again.  The R blocks are then folded in hop order into one
     accumulator in place, in one ``blockwise_attention_step`` call.  The fold
     owns the accumulator, so the pass finalizes into it and returns it.
@@ -223,16 +223,18 @@ def _ring_pass(handle, plan, q, k, v):
     groups = [mesh.a2a_group_of(ring[(me - hop) % size]) for hop in range(size)]
     positions = plan.group_positions(groups[0])
     fold = start_fold(q, positions)
-    own = kv_block(k, v, positions, plan.group_span(groups[0]))
+    own = kv_block(k, v, positions)
     dst = ring[(me + 1) % size]
     src = ring[(me - 1) % size]
     received = [(own.k, own.v)]
     for _ in range(size - 1):
         received.append((yield handle.send_recv(ring, dst, src, received[-1])))
-    # The blocks are built only now, so a rank waiting on a hop holds no
-    # per-hop object that the cycle collector would traverse at every pass.
+    # Each received (k, v) is the pair its sender's kv_block checked, so the
+    # block is rebuilt around it unchecked.  The blocks are built only now,
+    # so a rank waiting on a hop holds no per-hop object that the cycle
+    # collector would traverse at every pass.
     blockwise_attention_step(fold, [own] + [
-        KVBlock(k, v, plan.group_positions(group), plan.group_span(group))
+        _KVBlock(k, v, plan.group_positions(group), plan.group_span(group))
         for (k, v), group in zip(received[1:], groups[1:])])
     return finalize_attention(fold.state)
 

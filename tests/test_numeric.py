@@ -12,7 +12,7 @@ from spsim.fabric import Topology, build_mesh
 from spsim.numeric import (
     AttentionSpec,
     AttentionState,
-    KVBlock,
+    _KVBlock,
     blockwise_attention_step,
     finalize_attention,
     init_attention_state,
@@ -196,10 +196,9 @@ class TestKVBlock:
         with pytest.raises(ValueError, match=r"kv_positions must have shape \(3,\)"):
             kv_block(k, v, np.arange(4))
 
-    def test_span_is_reduced_unless_given(self):
+    def test_span_is_reduced_from_the_positions(self):
         k = v = np.zeros((1, 4, 2))
         assert kv_block(k, v, np.array([7, 3, 9, 5])).span == (3, 9)
-        assert kv_block(k, v, np.arange(4), (0, 3)).span == (0, 3)
 
 
 @st.composite
@@ -718,33 +717,29 @@ class TestFoldList:
                 assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("kind,a2a", [("contiguous", 1), ("zigzag", 1), ("zigzag", 2)])
-    def test_plan_spans_fold_as_reduced_spans_and_single_folds_bitwise(self, kind, a2a):
-        # A ring pass's blocks as the strategies build them: spans from the
-        # plan, received blocks rebuilt around arrays their sender checked.
-        # The list folds bit for bit as the same blocks with spans that
-        # kv_block reduces, and as the chain of their single-block folds.
+    def test_plan_spans_fold_as_single_folds_bitwise(self, kind, a2a):
+        # A ring pass's blocks as the strategies build them: its own block
+        # from kv_block, each received one rebuilt around the arrays its
+        # sender checked, with positions and span from the plan.  The list
+        # folds bit for bit as the chain of its single-block folds.
         world = 8
         spec = AttentionSpec(num_q_heads=4, num_kv_heads=2, head_dim=4)
         plan = shard_plan(kind, 4 * world, world)
         mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=world), a2a)
         q, k, v = _random_qkv(np.random.default_rng(23), spec, 4 * world)
         groups = sorted({mesh.a2a_group_of(rank) for rank in range(world)})
+        checked = {g: kv_block(k[:, plan.group_positions(g)], v[:, plan.group_positions(g)],
+                               plan.group_positions(g)) for g in groups}
         for me, group in enumerate(groups):
             sources = [groups[(me - hop) % len(groups)] for hop in range(len(groups))]
             own = plan.group_positions(group)
-            states = []
-            for span_of in (plan.group_span, lambda g: None):
-                blocks = [kv_block(k[:, plan.group_positions(g)], v[:, plan.group_positions(g)],
-                                   plan.group_positions(g), span_of(g)) for g in sources]
-                if span_of is plan.group_span:
-                    blocks[1:] = [KVBlock(b.k, b.v, b.positions, b.span) for b in blocks[1:]]
-                listed = start_fold(q[:, own], own)
-                blockwise_attention_step(listed, blocks)
-                states.append(listed.state)
-                chained = start_fold(q[:, own], own)
-                for block in blocks:
-                    blockwise_attention_step(chained, [block])
-                states.append(chained.state)
-            for state in states[1:]:
-                for a, b in zip(states[0].as_arrays(), state.as_arrays()):
-                    assert a.tobytes() == b.tobytes()
+            blocks = [checked[group]] + [
+                _KVBlock(checked[g].k, checked[g].v, plan.group_positions(g), plan.group_span(g))
+                for g in sources[1:]]
+            listed = start_fold(q[:, own], own)
+            blockwise_attention_step(listed, blocks)
+            chained = start_fold(q[:, own], own)
+            for block in blocks:
+                blockwise_attention_step(chained, [block])
+            for a, b in zip(listed.state.as_arrays(), chained.state.as_arrays()):
+                assert a.tobytes() == b.tobytes()

@@ -477,6 +477,25 @@ class TestExchangeThenFold:
         assert log.to_rows() == run.log.to_rows()
 
 
+def watch_rank_programs(monkeypatch):
+    """Record the rank of every rank program a run starts, and again when
+    that generator is closed; returns the (started, closed) lists."""
+    import spsim.strategies as strategies
+
+    started, closed = [], []
+    original = strategies.attention_rank_body
+
+    def watched(handle, *args):
+        started.append(handle.rank)
+        try:
+            return (yield from original(handle, *args))
+        finally:
+            closed.append(handle.rank)
+
+    monkeypatch.setattr(strategies, "attention_rank_body", watched)
+    return started, closed
+
+
 class TestNonFiniteInputs:
     """A bad block fails the run with the check's own error and closes
     every rank generator the run started."""
@@ -513,19 +532,7 @@ class TestNonFiniteInputs:
     def test_nan_in_v_raises(self, monkeypatch, kind, a2a, p2p):
         # v is checked with k, once, where its rank made the block: a NaN in
         # one rank's v fails the run from inside the rank programs.
-        import spsim.strategies as strategies
-
-        started, closed = [], []
-        original = strategies.attention_rank_body
-
-        def watched(handle, *args):
-            started.append(handle.rank)
-            try:
-                return (yield from original(handle, *args))
-            finally:
-                closed.append(handle.rank)
-
-        monkeypatch.setattr(strategies, "attention_rank_body", watched)
+        started, closed = watch_rank_programs(monkeypatch)
         q, k, v = random_qkv(np.random.default_rng(20), SPEC, 64)
         v[1, 37, 3] = np.nan  # in one rank's shard
         config = StrategyConfig(kind, a2a_degree=a2a, p2p_degree=p2p)
