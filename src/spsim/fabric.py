@@ -48,6 +48,8 @@ __all__ = [
 LINK_INTRA = "intra"
 LINK_INTER = "inter"
 
+SCALAR_BYTES = 8  # wire size of a bool, int, float or numpy scalar, such as a token id
+
 # Default link speeds: 900 GB/s over the fast intra-node fabric, 50 GB/s over
 # the single-path inter-node fabric (an 18x gap).  Latencies are placeholders
 # and config-exposed, not calibrated values.
@@ -154,15 +156,15 @@ class CommLog:
 def payload_nbytes(payload) -> int:
     """Exact wire size of a message payload.
 
-    Arrays count their buffer size, scalars count 8 bytes, containers sum
-    their elements; anything else is a programming error.
+    Arrays count their buffer size, scalars count ``SCALAR_BYTES``,
+    containers sum their elements; anything else is a programming error.
     """
     if payload is None:
         return 0
     if isinstance(payload, np.ndarray):
         return payload.nbytes
     if isinstance(payload, (bool, int, float, np.generic)):
-        return 8
+        return SCALAR_BYTES
     if isinstance(payload, (tuple, list)):
         return sum(payload_nbytes(p) for p in payload)
     raise TypeError(f"cannot size payload of type {type(payload)!r}")

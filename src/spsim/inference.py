@@ -156,19 +156,13 @@ def local_decode(model: StubModel, embeddings: np.ndarray, max_new_tokens: int) 
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LayerCache:
-    k: np.ndarray  # (kv_heads, n, head_dim)
-    v: np.ndarray
-    positions: np.ndarray  # (n,) global token indices
-
-
-@dataclass
 class DecodeState:
-    """Everything that progressively changes during decoding."""
+    """Everything that progressively changes during decoding.  A rank's cache
+    is the KV block ``kv_block`` checked where the rank made it."""
 
     model: StubModel
     plan: ShardPlan
-    caches: list[list[LayerCache]]  # [rank][layer]
+    caches: list[list]  # [rank][layer] checked KV blocks: k, v and positions
     last_hidden: np.ndarray  # (hidden,) output at the newest position
     next_position: int
     owner: int  # rank that owns the newest token's KV slot
@@ -201,8 +195,7 @@ def sp_prefill(mesh: DeviceMesh, encoded: EncodedSequence, plan: ShardPlan,
             out = yield from attention_rank_body(handle, mesh, plan, model.spec, q, k, v,
                                                  kv_replication)
             x = model.project_out(layer, out) + x
-            caches.append(LayerCache(k=k[:, real], v=v[:, real],
-                                     positions=positions[real]))
+            caches.append(kv_block(k[:, real], v[:, real], positions[real]))
         return x, caches
 
     outputs, log = run_program(mesh, rank_program(program))
@@ -233,6 +226,8 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
         raise RuntimeError("decode after the stream finished")
     model = state.model
     sp = state.plan.sp_degree
+    if sp != mesh.world_size:
+        raise ValueError("plan does not match mesh world size")
     group = tuple(range(sp))
     owner = state.owner
     pos = state.next_position
@@ -253,13 +248,13 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
             q, k, v = model.qkv(layer, x, kv=rank == owner)  # only the owner caches k, v
             cache = state.caches[rank][layer]
             if rank == owner:
-                cache = LayerCache(k=np.concatenate([cache.k, k], axis=1),
-                                   v=np.concatenate([cache.v, v], axis=1),
-                                   positions=np.concatenate([cache.positions, q_pos]))
+                cache = kv_block(np.concatenate([cache.k, k], axis=1),
+                                 np.concatenate([cache.v, v], axis=1),
+                                 np.concatenate([cache.positions, q_pos]))
                 new_caches.append(cache)
             fold = start_fold(q, q_pos)
-            if cache.positions.size:
-                blockwise_attention_step(fold, [kv_block(cache.k, cache.v, cache.positions)])
+            # No fold writes into a block's k or v, so a cache folds as stored.
+            blockwise_attention_step(fold, [cache])
             gathered = yield handle.all_gather(group, fold.state.as_arrays(), root=owner)
             if rank == owner:
                 merged = merge_attention_partials(

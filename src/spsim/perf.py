@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .fabric import DeviceMesh, Topology, build_mesh, comm_time
+from .fabric import SCALAR_BYTES, DeviceMesh, Topology, build_mesh, comm_time
 from .numeric import AttentionSpec
 from .sharding import padded_length, plan_granule
 from .strategies import (
@@ -50,7 +50,6 @@ __all__ = [
 COMPONENTS = ("encoder", "linears", "attention", "others")
 
 FLOAT_BYTES = 8  # simulator tensors are float64
-SCALAR_BYTES = 8  # wire size of a Python int, such as a decoded token id
 
 # Hardware and footprint constants of the cost model (inference reads the
 # device ones too); acceptance checks use only ratios and orderings.
@@ -371,17 +370,14 @@ def iteration_time(config: StrategyConfig, profile: ModelProfile, topology: Topo
         fwd_total += flops["encoder"]
     compute = fwd_total / sp / DEVICE_RATE * BACKWARD_MULTIPLIER
 
-    comm_fwd = per_rank_comm_seconds(config, profile.spec, seq_len, mesh)
-    times = []
-    per_rank_tokens = padded_length(plan_kind(config.kind), sp, seq_len) / sp
-    for rank_comm in comm_fwd:
-        comm = rank_comm * BACKWARD_MULTIPLIER
-        if config.kind in RING_KINDS:
-            penalized = compute * (1.0 + overlap_penalty(per_rank_tokens))
-            times.append(max(penalized, comm))
-        else:
-            times.append(compute + comm)
-    return max(times)
+    # Doubling and adding ``compute`` are monotone, so pricing the slowest
+    # rank's communication alone gives the max over ranks to the bit.
+    comm = max(per_rank_comm_seconds(config, profile.spec, seq_len, mesh)) \
+        * BACKWARD_MULTIPLIER
+    if config.kind in RING_KINDS:
+        per_rank_tokens = padded_length(plan_kind(config.kind), sp, seq_len) / sp
+        return max(compute * (1.0 + overlap_penalty(per_rank_tokens)), comm)
+    return compute + comm
 
 
 def megatron_baseline_time(profile: ModelProfile, topology: Topology, seq_len: int,

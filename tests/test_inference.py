@@ -226,6 +226,63 @@ class TestDecode:
         assert sorted(calls) == [False] * (3 * SPEC.num_layers) + [True] * SPEC.num_layers
 
 
+class TestDecodeCaches:
+    """A rank's cache is the KV block checked where the rank made it."""
+
+    def test_each_block_is_checked_once_where_it_is_made(self, monkeypatch):
+        import spsim.inference as inference
+
+        mesh = make_mesh(4)
+        encoded, plan = make_prompt(mesh)
+        model = StubModel(SPEC, eos_token_id=-1)
+        made = []
+        original = inference.kv_block
+
+        def counted(k, v, positions):
+            made.append(original(k, v, positions))
+            return made[-1]
+
+        monkeypatch.setattr(inference, "kv_block", counted)
+        state = sp_prefill(mesh, encoded, plan, model)
+        assert len(made) == 4 * SPEC.num_layers
+        stored = {id(block) for rank in state.caches for block in rank}
+        assert stored == {id(block) for block in made}
+        steps = 0
+
+        def eos_on_fourth(logits):
+            nonlocal steps
+            steps += 1
+            return model.eos_token_id if steps == 4 else int(np.argmax(logits))
+
+        while not state.finished:
+            before = [list(rank) for rank in state.caches]
+            made.clear()
+            position = state.next_position
+            sp_decode_step(mesh, state, sampler=eos_on_fourth)
+            if state.finished:
+                assert made == []
+                break
+            # L blocks, each the owner's new cache ending at the new position;
+            # every other rank keeps the very blocks it held.
+            assert len(made) == SPEC.num_layers
+            for layer, block in enumerate(made):
+                assert block is state.caches[state.owner][layer]
+                assert block.positions[-1] == position
+            for rank in range(4):
+                if rank != state.owner:
+                    assert all(a is b for a, b in zip(state.caches[rank], before[rank]))
+        assert steps == 4
+
+    @pytest.mark.parametrize("world", [4, 16])
+    def test_decode_on_a_mesh_other_than_the_prefill_mesh_is_refused(self, world):
+        mesh = make_mesh(8)
+        encoded, plan = make_prompt(mesh)
+        state = sp_prefill(mesh, encoded, plan, StubModel(SPEC, eos_token_id=-1))
+        with pytest.raises(ValueError, match="plan does not match mesh world size"):
+            sp_decode_step(make_mesh(world), state)
+        assert state.generated == [] and not state.finished
+
+
 class TestPipelineBaseline:
     TOPO = Topology(num_nodes=1, gpus_per_node=8)
     SPEC8B = AttentionSpec(num_q_heads=32, num_kv_heads=8, head_dim=128, num_layers=32)

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spsim.fabric import Topology, build_mesh
 from spsim.inference import StubModel, greedy_sampler, sp_decode_step, sp_prefill
@@ -13,17 +15,23 @@ from spsim.sharding import (
     build_sequences,
     encode_batch,
     globalize_and_pad,
+    padded_length,
     shard_plan,
 )
 from spsim.strategies import (
+    RING_KINDS,
     STRATEGY_KINDS,
     StrategyConfig,
+    StrategyConfigError,
     execute_strategy,
     plan_kind,
     resolve_strategy,
 )
 from spsim.perf import (
     _OVERLAP_TABLE,
+    BACKWARD_MULTIPLIER,
+    DEVICE_RATE,
+    PROFILE_NAMES,
     _divisors,
     calibrate,
     comm_volume,
@@ -34,6 +42,7 @@ from spsim.perf import (
     megatron_baseline_time,
     model_profile,
     overlap_penalty,
+    per_rank_comm_seconds,
     plan,
     prefill_messages,
     reference_rows,
@@ -308,6 +317,47 @@ class TestIterationTime:
             iteration_time(cfg, model_profile("8b"), topo, 65536)
         with pytest.raises(ValueError, match="does not match mesh"):
             list(strategy_messages(cfg, model_profile("8b").spec, 65536, build_mesh(topo)))
+
+    @staticmethod
+    def per_rank_iteration_time(config, profile, topology, seq_len, num_frames):
+        """Every rank priced on its own, the slowest taken last."""
+        flops = flops_profile(profile, num_frames, seq_len)
+        sp = config.sp_degree
+        mesh = build_mesh(topology, config.a2a_degree, config.p2p_degree)
+        fwd_total = flops["linears"] + flops["attention"] + flops["others"]
+        if num_frames > 0:
+            fwd_total += flops["encoder"]
+        compute = fwd_total / sp / DEVICE_RATE * BACKWARD_MULTIPLIER
+        per_rank_tokens = padded_length(plan_kind(config.kind), sp, seq_len) / sp
+        times = []
+        for rank_comm in per_rank_comm_seconds(config, profile.spec, seq_len, mesh):
+            comm = rank_comm * BACKWARD_MULTIPLIER
+            if config.kind in RING_KINDS:
+                times.append(max(compute * (1.0 + overlap_penalty(per_rank_tokens)), comm))
+            else:
+                times.append(compute + comm)
+        return max(times)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), nodes=st.integers(1, 8), gpus=st.integers(1, 8),
+           kind=st.sampled_from(STRATEGY_KINDS), name=st.sampled_from(PROFILE_NAMES),
+           seq_len=st.integers(1, 1 << 19), num_frames=st.sampled_from([0, 16]),
+           bandwidths=st.tuples(*[st.floats(1e6, 1e13)] * 2),
+           latencies=st.tuples(*[st.floats(0.0, 1e-3)] * 2))
+    def test_slowest_rank_priced_once_equals_every_rank_priced(
+            self, data, nodes, gpus, kind, name, seq_len, num_frames, bandwidths,
+            latencies):
+        topology = Topology(nodes, gpus, *bandwidths, *latencies)
+        profile = model_profile(name)
+        a2a = (data.draw(st.sampled_from(_divisors(topology.world_size)))
+               if kind == "two_d" else 0)
+        try:
+            config = resolve_strategy(profile.spec, topology, kind, a2a=a2a)
+        except StrategyConfigError:
+            assume(False)
+        got = iteration_time(config, profile, topology, seq_len, num_frames)
+        want = self.per_rank_iteration_time(config, profile, topology, seq_len, num_frames)
+        assert got.hex() == want.hex()
 
     def test_megatron_baselines_slower_than_2d(self):
         profile = model_profile("8b")
