@@ -33,7 +33,6 @@ from .sharding import (  # noqa: F401
     ShardPlan,
     distribute_images,
     globalize_and_pad,
-    shard_plan,
 )
 from .strategies import (  # noqa: F401
     StrategyConfig,

@@ -132,9 +132,6 @@ class CommLog:
         self.records: list[CommRecord] = []
         self.tampered: list[tuple[int, int, int, int]] = []  # (src, dst, step, index)
 
-    def append(self, record: CommRecord) -> None:
-        self.records.append(record)
-
     def total_bytes(self, kind: str | None = None, link: str | None = None) -> int:
         return sum(
             r.nbytes
@@ -483,34 +480,21 @@ class _Runtime:
             if root not in group:
                 raise FabricError(f"{kind} root {root} not in group {group}")
         received = {m: [] for m in group}
+        records = self.log.records
         for sender, op in zip(group, ops):  # deterministic log order: sender-major
-            sizes: dict[int, int] = {}  # id(payload) -> bytes, once per distinct payload
             for dst, payload in op.edges:
-                received[dst].append(self._deliver(op.step, kind, sender, dst, payload, sizes))
+                if dst != sender:
+                    link = self.mesh.topology.link_class(sender, dst)
+                    records.append(CommRecord(op.step, kind, sender, dst,
+                                              payload_nbytes(payload), link))
+                    if self.fault is not None and len(records) - 1 == self.fault.message_index:
+                        payload = _tamper(payload)
+                        self.log.tampered.append((sender, dst, op.step, len(records) - 1))
+                received[dst].append(payload)
         for m, op in zip(group, ops):
             self.handles[m]._received = received[m] if op.source is None else received[m][0]
             self.state[m] = _READY
             pending[m] = None
-
-    def _deliver(self, step: int, kind: str, src: int, dst: int, payload,
-                 sizes: dict[int, int]):
-        """Log one directed message and return the (possibly tampered) payload.
-
-        ``sizes`` holds the sizes of the sender's payloads already sent: an
-        all_gather or broadcast sends one payload on every edge.
-        """
-        if src == dst:
-            return payload
-        nbytes = sizes.get(id(payload))
-        if nbytes is None:
-            nbytes = sizes[id(payload)] = payload_nbytes(payload)
-        link = self.mesh.topology.link_class(src, dst)
-        self.log.append(CommRecord(step, kind, src, dst, nbytes, link))
-        index = len(self.log.records) - 1
-        if self.fault is not None and index == self.fault.message_index:
-            payload = _tamper(payload)
-            self.log.tampered.append((src, dst, step, index))
-        return payload
 
 
 def run_program(mesh: DeviceMesh, program, fault: FaultInjection | None = None):

@@ -27,7 +27,6 @@ __all__ = [
     "SampleSpec",
     "plan_granule",
     "padded_length",
-    "shard_plan",
     "distribute_images",
     "encode_images_stub",
     "text_embedding_stub",
@@ -86,7 +85,6 @@ class EncodedSequence:
     embeddings: np.ndarray  # (length, hidden)
     kinds: np.ndarray  # (length,) uint8
     loss_mask: np.ndarray  # (length,) bool
-    original_length: int
 
     def __post_init__(self) -> None:
         n = self.embeddings.shape[0]
@@ -104,7 +102,8 @@ class ShardPlan:
     i chunks {i, 2P-1-i} (of 2P chunks), taken from both ends of the sequence
     so each rank's causal workload is equal.  The chunks and their owners
     follow from the kind, the degree and the padded length, which must be a
-    positive multiple of the plan granule.
+    positive multiple of the plan granule.  The original length, the count
+    of real rows before the dummy padding, runs from 1 to the padded length.
     """
 
     kind: str  # "contiguous" | "zigzag"
@@ -120,6 +119,9 @@ class ShardPlan:
             need = (f"sp_degree {self.sp_degree}" if self.kind == "contiguous"
                     else f"2 * sp_degree = {granule}")
             raise ValueError(f"length {self.padded_length} not divisible by {need}")
+        if not 1 <= self.original_length <= self.padded_length:
+            raise ValueError(f"original length {self.original_length} not in "
+                             f"1..padded length {self.padded_length}")
 
     @property
     def num_chunks(self) -> int:
@@ -196,18 +198,23 @@ class ShardPlan:
         return [np.take(array, self.rank_positions(r), axis=axis) for r in range(self.sp_degree)]
 
     def gather(self, shards, axis: int = 0, trim: bool = True) -> np.ndarray:
-        """Inverse of shard: reassemble global order, dropping dummy padding."""
+        """Inverse of shard: reassemble global order, dropping dummy padding.
+
+        Every shard must have the first one's shape, with the local length
+        along ``axis``.
+        """
         if len(shards) != self.sp_degree:
             raise ValueError(f"expected {self.sp_degree} shards, got {len(shards)}")
         shape = list(shards[0].shape)
+        shape[axis] = self.local_length
+        expected = tuple(shape)
         shape[axis] = self.padded_length
         out = np.empty(shape, dtype=shards[0].dtype)
         for rank, shard in enumerate(shards):
-            positions = self.rank_positions(rank)
-            if shard.shape[axis] != positions.size:
-                raise ValueError(f"rank {rank} shard has wrong length")
+            if shard.shape != expected:
+                raise ValueError(f"rank {rank} shard has shape {shard.shape}, expected {expected}")
             idx = [slice(None)] * out.ndim
-            idx[axis] = positions
+            idx[axis] = self.rank_positions(rank)
             out[tuple(idx)] = shard
         if trim and self.original_length < self.padded_length:
             idx = [slice(None)] * out.ndim
@@ -225,13 +232,6 @@ def padded_length(shard_kind: str, sp: int, length: int) -> int:
     """Least multiple of the plan granule that is >= length, and at least one granule."""
     granule = plan_granule(shard_kind, sp)
     return max(granule, -(-length // granule) * granule)
-
-
-def shard_plan(kind: str, padded_length: int, sp_degree: int,
-               original_length: int | None = None) -> ShardPlan:
-    """The ``kind`` plan (see ShardPlan); the original length defaults to the padded one."""
-    return ShardPlan(kind, sp_degree, padded_length,
-                     padded_length if original_length is None else original_length)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +342,8 @@ def globalize_and_pad(pieces, mesh: DeviceMesh) -> tuple[EncodedSequence, ShardP
         embeddings=rows,
         kinds=kinds,
         loss_mask=kinds == KIND_TEXT,
-        original_length=original,
     )
-    plan = shard_plan("zigzag", padded, mesh.world_size, original_length=original)
+    plan = ShardPlan("zigzag", mesh.world_size, padded, original)
     return encoded, plan
 
 

@@ -30,7 +30,7 @@ from .numeric import (
     kv_block,
     start_fold,
 )
-from .sharding import ShardPlan, shard_plan
+from .sharding import ShardPlan
 
 __all__ = [
     "STRATEGY_KINDS",
@@ -407,7 +407,7 @@ def attention_2d(mesh, plan, q_shards, k_shards, v_shards, spec,
 
 def plan_for_strategy(config: StrategyConfig, length: int) -> ShardPlan:
     """The shard plan a strategy runs on, for an already-divisible length."""
-    return shard_plan(plan_kind(config.kind), length, config.sp_degree)
+    return ShardPlan(plan_kind(config.kind), config.sp_degree, length, length)
 
 
 def execute_strategy(mesh: DeviceMesh, config: StrategyConfig, spec: AttentionSpec,

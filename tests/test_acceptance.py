@@ -32,12 +32,12 @@ from spsim.perf import (
 )
 from spsim.sharding import (
     SampleSpec,
+    ShardPlan,
     build_sequences,
     chunk_pair_counts,
     chunk_workload_units,
     encode_batch,
     globalize_and_pad,
-    shard_plan,
 )
 from spsim.strategies import (
     StrategyConfig,
@@ -131,9 +131,9 @@ def test_criterion_2_complexity_table_reproduction():
 def test_criterion_3_load_balance_exact():
     """Zigzag: exactly 2P+1 chunk pairs per rank; contiguous: (2P-1):1 ratio."""
     for sp in (2, 4, 8):
-        zz = shard_plan("zigzag", 16 * sp, sp)
+        zz = ShardPlan("zigzag", sp, 16 * sp, 16 * sp)
         assert chunk_pair_counts(zz) == [2 * sp + 1] * sp
-        contiguous = shard_plan("contiguous", 16 * sp, sp)
+        contiguous = ShardPlan("contiguous", sp, 16 * sp, 16 * sp)
         units = chunk_workload_units(contiguous)
         assert min(units) == 1 * min(units)
         assert max(units) == (2 * sp - 1) * min(units)

@@ -490,6 +490,24 @@ class TestRunProgram:
         src, dst, step, index = log.tampered[0]
         assert (src, dst, index) == (0, 1, 0)
 
+    def test_fault_on_a_broadcast_tampers_only_its_own_message(self):
+        mesh = build_mesh(two_node_topology(2), 1, 4)
+        group = (0, 1, 2, 3)
+        value = np.arange(4.0)
+
+        def program(h):
+            return (yield h.broadcast(group, root=0, value=value if h.rank == 0 else None))
+
+        # Root 0 sends messages 0, 1 and 2, to ranks 1, 2 and 3.
+        outputs, log = run_program(mesh, rank_program(program),
+                                   fault=FaultInjection(message_index=1))
+        np.testing.assert_array_equal(outputs[2], -value)
+        assert all(outputs[rank] is value for rank in (0, 1, 3))
+        np.testing.assert_array_equal(value, np.arange(4.0))
+        assert [(r.src, r.dst, r.nbytes) for r in log.records] == [
+            (0, dst, value.nbytes) for dst in (1, 2, 3)]
+        assert log.tampered == [(0, 2, 0, 1)]
+
 
 # sha256 of the CommLog rows and tampered lists of _delivery_order_runs():
 # it moves with any change to the order in which the fabric delivers.

@@ -21,7 +21,7 @@ from spsim.numeric import (
     reference_attention,
     start_fold,
 )
-from spsim.sharding import shard_plan
+from spsim.sharding import ShardPlan
 from spsim.strategies import STRATEGY_KINDS, execute_strategy, resolve_strategy
 
 
@@ -690,7 +690,7 @@ class TestFoldList:
         # chunk cut: runs of 1, r and W-1-r.
         world = 16
         spec = AttentionSpec(num_q_heads=4, num_kv_heads=2, head_dim=4)
-        plan = shard_plan(kind, 4 * world, world)
+        plan = ShardPlan(kind, world, 4 * world, 4 * world)
         q, k, v = (plan.shard(x, 1) for x in _random_qkv(np.random.default_rng(5), spec,
                                                            4 * world))
         runs = []
@@ -724,7 +724,7 @@ class TestFoldList:
         # folds bit for bit as the chain of its single-block folds.
         world = 8
         spec = AttentionSpec(num_q_heads=4, num_kv_heads=2, head_dim=4)
-        plan = shard_plan(kind, 4 * world, world)
+        plan = ShardPlan(kind, world, 4 * world, 4 * world)
         mesh = build_mesh(Topology(num_nodes=1, gpus_per_node=world), a2a)
         q, k, v = _random_qkv(np.random.default_rng(23), spec, 4 * world)
         groups = sorted({mesh.a2a_group_of(rank) for rank in range(world)})

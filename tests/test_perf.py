@@ -12,11 +12,11 @@ from spsim.inference import StubModel, greedy_sampler, sp_decode_step, sp_prefil
 from spsim.numeric import AttentionSpec
 from spsim.sharding import (
     SampleSpec,
+    ShardPlan,
     build_sequences,
     encode_batch,
     globalize_and_pad,
     padded_length,
-    shard_plan,
 )
 from spsim.strategies import (
     RING_KINDS,
@@ -206,8 +206,8 @@ def _prefill(config, spec, world):
     pieces = encode_batch(build_sequences([SampleSpec(0, 1, 21)]), tokens_per_frame=8,
                           hidden=spec.hidden_size)
     encoded, zigzag = globalize_and_pad(pieces, mesh)
-    plan = shard_plan(plan_kind(config.kind), zigzag.padded_length, world,
-                      original_length=zigzag.original_length)
+    plan = ShardPlan(plan_kind(config.kind), world, zigzag.padded_length,
+                     zigzag.original_length)
     model = StubModel(spec, eos_token_id=-1)
     return mesh, plan, sp_prefill(mesh, encoded, plan, model, config.kv_replication)
 

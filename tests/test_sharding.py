@@ -25,7 +25,6 @@ from spsim.sharding import (
     load_samples,
     padded_length,
     plan_granule,
-    shard_plan,
     text_embedding_stub,
 )
 
@@ -148,19 +147,32 @@ class TestGlobalizeAndPad:
 
 class TestZigzagPlan:
     def test_two_end_assignment_p4(self):
-        plan = shard_plan("zigzag", 64, 4)
+        plan = ShardPlan("zigzag", 4, 64, 64)
         assert plan.assignments == ((0, 7), (1, 6), (2, 5), (3, 4))
 
     def test_p1_owns_everything(self):
-        plan = shard_plan("zigzag", 16, 1)
+        plan = ShardPlan("zigzag", 1, 16, 16)
         np.testing.assert_array_equal(plan.rank_positions(0), np.arange(16))
 
     def test_rejects_indivisible_length(self):
         with pytest.raises(ValueError, match="divisible"):
-            shard_plan("zigzag", 30, 4)
+            ShardPlan("zigzag", 4, 30, 30)
 
-    @pytest.mark.parametrize("plan", [shard_plan("zigzag", 16, 2),
-                                      shard_plan("contiguous", 12, 3)],
+    @pytest.mark.parametrize("original", [-3, 0, 9, 100])
+    def test_rejects_an_original_length_outside_1_to_padded(self, original):
+        # A negative one sliced rows off the end of gather, a longer one kept
+        # every dummy row as a real one and zero kept none.
+        with pytest.raises(ValueError, match=re.escape(
+                f"original length {original} not in 1..padded length 8")):
+            ShardPlan("zigzag", 2, 8, original)
+
+    def test_original_length_may_be_one_or_the_padded_length(self):
+        shards = ShardPlan("zigzag", 2, 8, 8).shard(np.arange(8.0))
+        assert ShardPlan("zigzag", 2, 8, 1).gather(shards).tolist() == [0.0]
+        assert ShardPlan("zigzag", 2, 8, 8).gather(shards).tolist() == list(range(8))
+
+    @pytest.mark.parametrize("plan", [ShardPlan("zigzag", 2, 16, 16),
+                                      ShardPlan("contiguous", 3, 12, 12)],
                              ids=["zigzag", "contiguous"])
     def test_rank_positions_are_shared_and_read_only(self, plan):
         positions = plan.rank_positions(1)
@@ -172,7 +184,7 @@ class TestZigzagPlan:
         np.testing.assert_array_equal(plan.rank_positions(1), expected)
 
     def test_group_positions_are_sorted_shared_and_read_only(self):
-        plan = shard_plan("zigzag", 32, 4)
+        plan = ShardPlan("zigzag", 4, 32, 32)
         positions = plan.group_positions((1, 3))
         assert plan.group_positions((1, 3)) is positions
         expected = np.sort(np.concatenate([plan.rank_positions(1), plan.rank_positions(3)]))
@@ -188,7 +200,8 @@ class TestZigzagPlan:
         # Folds take each KV block's span from the plan instead of reducing
         # its positions: the cached span must be their least and greatest,
         # for every a2a group of every degree, a group of one included.
-        plan = shard_plan(kind, granules * plan_granule(kind, sp), sp)
+        length = granules * plan_granule(kind, sp)
+        plan = ShardPlan(kind, sp, length, length)
         for a2a in (d for d in range(1, sp + 1) if sp % d == 0):
             mesh = mesh_of(sp, a2a)
             for group in {mesh.a2a_group_of(rank) for rank in range(sp)}:
@@ -200,7 +213,7 @@ class TestZigzagPlan:
 
     @pytest.mark.parametrize("sp", [2, 4, 8])
     def test_causal_chunk_pairs_equal_2p_plus_1(self, sp):
-        plan = shard_plan("zigzag", 8 * sp, sp)
+        plan = ShardPlan("zigzag", sp, 8 * sp, 8 * sp)
         assert chunk_pair_counts(plan) == [2 * sp + 1] * sp
 
     @pytest.mark.parametrize("sp,chunk,expected,ratio", [
@@ -210,14 +223,14 @@ class TestZigzagPlan:
         pytest.param(4, 1, [2, 4, 6, 8], 4, id="chunk1"),
     ])
     def test_contiguous_workload_ratio_2p_minus_1(self, sp, chunk, expected, ratio):
-        plan = shard_plan("contiguous", chunk * sp, sp)
+        plan = ShardPlan("contiguous", sp, chunk * sp, chunk * sp)
         units = chunk_workload_units(plan)
         assert units == expected
         assert max(units) == ratio * min(units)
 
     @pytest.mark.parametrize("sp", [2, 4, 8])
     def test_zigzag_workload_units_equal(self, sp):
-        plan = shard_plan("zigzag", 8 * sp, sp)
+        plan = ShardPlan("zigzag", sp, 8 * sp, 8 * sp)
         units = chunk_workload_units(plan)
         assert len(set(units)) == 1
 
@@ -225,7 +238,7 @@ class TestZigzagPlan:
 class TestShardGather:
     def test_round_trip_identity(self):
         rng = np.random.default_rng(0)
-        plan = shard_plan("zigzag", 48, 3, original_length=41)
+        plan = ShardPlan("zigzag", 3, 48, 41)
         x = rng.standard_normal((48, 5))
         shards = plan.shard(x)
         assert all(s.shape[0] == 16 for s in shards)
@@ -233,23 +246,38 @@ class TestShardGather:
         np.testing.assert_array_equal(back, x[:41])
 
     def test_gather_drops_dummies(self):
-        plan = shard_plan("zigzag", 16, 2, original_length=13)
+        plan = ShardPlan("zigzag", 2, 16, 13)
         x = np.arange(16.0)[:, None]
         back = plan.gather(plan.shard(x), trim=True)
         assert back.shape[0] == 13
 
     def test_shard_along_other_axis(self):
         rng = np.random.default_rng(1)
-        plan = shard_plan("contiguous", 12, 4)
+        plan = ShardPlan("contiguous", 4, 12, 12)
         x = rng.standard_normal((2, 12, 3))
         shards = plan.shard(x, axis=1)
         back = plan.gather(shards, axis=1)
         np.testing.assert_array_equal(back, x)
 
     def test_missing_shard_rejected(self):
-        plan = shard_plan("contiguous", 8, 2)
+        plan = ShardPlan("contiguous", 2, 8, 8)
         with pytest.raises(ValueError, match="shards"):
             plan.gather([np.zeros((4, 1))])
+
+    def test_every_shard_must_have_the_first_shards_shape(self):
+        plan = ShardPlan("contiguous", 2, 4, 4)
+        wide, narrow = np.arange(4.0).reshape(2, 2), np.array([[4.0, 5.0]])
+        # A one-row shard would broadcast into both of its rows.
+        with pytest.raises(ValueError, match=re.escape(
+                "rank 1 shard has shape (1, 2), expected (2, 2)")):
+            plan.gather([wide, narrow], axis=1)
+        # The mirror case would fail inside numpy's broadcasting.
+        with pytest.raises(ValueError, match=re.escape(
+                "rank 1 shard has shape (2, 2), expected (1, 2)")):
+            plan.gather([narrow, wide], axis=1)
+        with pytest.raises(ValueError, match=re.escape(
+                "rank 0 shard has shape (2, 3), expected (2, 2)")):
+            plan.gather([np.zeros((2, 3)), wide], axis=1)
 
 
 PLAN_KINDS = st.sampled_from(("contiguous", "zigzag"))
@@ -277,21 +305,21 @@ class TestGranuleRule:
         if snap:  # also draw multiples: zero, negative and positive ones
             length -= length % granule
         if length >= 1 and length % granule == 0:
-            plan = shard_plan(kind, length, sp)
+            plan = ShardPlan(kind, sp, length, length)
             assert (plan.kind, plan.padded_length) == (kind, length)
             assert plan.num_chunks == granule
             return
         text = (f"length {length} not divisible by sp_degree {sp}" if kind == "contiguous"
                 else f"length {length} not divisible by 2 * sp_degree = {2 * sp}")
         with pytest.raises(ValueError, match=re.escape(text)):
-            shard_plan(kind, length, sp)
+            ShardPlan(kind, sp, length, length)
 
     @pytest.mark.parametrize("kind", ["contiguous", "zigzag"])
     def test_chunk_owners_follow_from_kind_degree_and_length(self, kind):
         for sp in range(1, 17):
             granule = plan_granule(kind, sp)
             for multiple in (1, 2, 3, 8):
-                plan = shard_plan(kind, multiple * granule, sp)
+                plan = ShardPlan(kind, sp, multiple * granule, multiple * granule)
                 owned = sorted(c for chunks in plan.assignments for c in chunks)
                 assert owned == list(range(plan.num_chunks))
                 for rank, chunks in enumerate(plan.assignments):

@@ -18,10 +18,10 @@ from spsim.numeric import (
 )
 from spsim.sharding import (
     SampleSpec,
+    ShardPlan,
     build_sequences,
     encode_batch,
     globalize_and_pad,
-    shard_plan,
 )
 from spsim.strategies import (
     RING_KINDS,
@@ -91,7 +91,7 @@ class TestRingAttention:
         assert sizes == {2 * SPEC.num_kv_heads * 16 * SPEC.head_dim * 8}
 
     def test_rejects_zigzag_plan(self):
-        plan = shard_plan("zigzag", 32, 2)
+        plan = ShardPlan("zigzag", 2, 32, 32)
         rng = np.random.default_rng(3)
         q, k, v = random_qkv(rng, SPEC, 32)
         with pytest.raises(ValueError, match="contiguous"):
@@ -131,7 +131,7 @@ class TestZigzagRingAttention:
         # Walk the deterministic ring schedule hop by hop: at hop h, rank r
         # holds the KV chunks of rank (r - h) mod P.  Count the unmasked
         # (q-chunk, kv-chunk) pairs each rank computes; all must equal 2P+1.
-        plan = shard_plan("zigzag", 8 * sp, sp)
+        plan = ShardPlan("zigzag", sp, 8 * sp, 8 * sp)
         counts = [0] * sp
         for rank in range(sp):
             for hop in range(sp):
@@ -143,7 +143,7 @@ class TestZigzagRingAttention:
         assert counts == [2 * sp + 1] * sp
 
     def test_rejects_contiguous_plan(self):
-        plan = shard_plan("contiguous", 32, 2)
+        plan = ShardPlan("contiguous", 2, 32, 32)
         rng = np.random.default_rng(7)
         q, k, v = random_qkv(rng, SPEC, 32)
         with pytest.raises(ValueError, match="zigzag"):
@@ -339,7 +339,7 @@ WRAPPERS = {"naive_ring": ring_attention, "zigzag_ring": zigzag_ring_attention,
 
 
 def run_wrapper(kind, mesh, plan_kind_name, length=32):
-    plan = shard_plan(plan_kind_name, length, mesh.world_size)
+    plan = ShardPlan(plan_kind_name, mesh.world_size, length, length)
     q, k, v = random_qkv(np.random.default_rng(17), SPEC, length)
     return WRAPPERS[kind](mesh, plan, plan.shard(q, 1), plan.shard(k, 1),
                           plan.shard(v, 1), SPEC)
