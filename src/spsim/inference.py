@@ -23,7 +23,6 @@ from .numeric import (
     merge_attention_partials,
     reference_attention,
     start_fold,
-    AttentionState,
 )
 from .sharding import EncodedSequence, ShardPlan, text_embedding_stub
 from .strategies import attention_rank_body, resolve_strategy
@@ -72,22 +71,14 @@ class StubModel:
         self.w_head = head_rng.standard_normal((hidden, vocab_size)) * scale
         self._embedding_rows: dict[int, np.ndarray] = {}  # vocabulary id -> row
 
-    @property
-    def num_layers(self) -> int:
-        return self.spec.num_layers
-
-    @property
-    def hidden_size(self) -> int:
-        return self.spec.hidden_size
-
     def embed(self, token_ids) -> np.ndarray:
         """``text_embedding_stub`` rows; a vocabulary id's row is derived once."""
-        rows = np.empty((len(token_ids), self.hidden_size))
+        rows = np.empty((len(token_ids), self.spec.hidden_size))
         for i, token_id in enumerate(token_ids):
             token_id = int(token_id)
             row = self._embedding_rows.get(token_id)
             if row is None:
-                row = text_embedding_stub([token_id], self.hidden_size)[0]
+                row = text_embedding_stub([token_id], self.spec.hidden_size)[0]
                 if 0 <= token_id < self.vocab_size:
                     self._embedding_rows[token_id] = row
             rows[i] = row
@@ -130,7 +121,7 @@ def greedy_sampler(logits: np.ndarray) -> int:
 def local_forward(model: StubModel, embeddings: np.ndarray) -> np.ndarray:
     """Plain one-device forward pass over the full sequence."""
     x = embeddings
-    for layer in range(model.num_layers):
+    for layer in range(model.spec.num_layers):
         q, k, v = model.qkv(layer, x)
         out = reference_attention(q, k, v, model.spec)
         x = model.project_out(layer, out) + x
@@ -190,7 +181,7 @@ def sp_prefill(mesh: DeviceMesh, encoded: EncodedSequence, plan: ShardPlan,
         real = positions < prompt_len
         x = x_shards[rank]
         caches = []
-        for layer in range(model.num_layers):
+        for layer in range(model.spec.num_layers):
             q, k, v = model.qkv(layer, x)
             out = yield from attention_rank_body(handle, mesh, plan, model.spec, q, k, v,
                                                  kv_replication)
@@ -244,7 +235,7 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
             return token, None, None
         x = model.embed([token])
         new_caches = []  # the owner's caches with the new token appended
-        for layer in range(model.num_layers):
+        for layer in range(model.spec.num_layers):
             q, k, v = model.qkv(layer, x, kv=rank == owner)  # only the owner caches k, v
             cache = state.caches[rank][layer]
             if rank == owner:
@@ -255,10 +246,9 @@ def sp_decode_step(mesh: DeviceMesh, state: DecodeState, sampler=greedy_sampler)
             fold = start_fold(q, q_pos)
             # No fold writes into a block's k or v, so a cache folds as stored.
             blockwise_attention_step(fold, [cache])
-            gathered = yield handle.all_gather(group, fold.state.as_arrays(), root=owner)
+            gathered = yield handle.all_gather(group, fold.state, root=owner)
             if rank == owner:
-                merged = merge_attention_partials(
-                    *(AttentionState(*arrays) for arrays in gathered))
+                merged = merge_attention_partials(*gathered)
                 x = model.project_out(layer, finalize_attention(merged)) + x
             x = yield handle.broadcast(group, owner, x)
         return token, x[0], new_caches

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,22 +72,19 @@ class AttentionSpec:
         return self.num_q_heads // self.num_kv_heads
 
 
-@dataclass
-class AttentionState:
+class AttentionState(NamedTuple):
     """Running blockwise-softmax accumulator for a fixed set of query rows.
 
     ``partial_output`` holds the un-normalized weighted value sum,
     ``running_max`` the per-row score maximum seen so far (-inf until the
     first visible key), and ``running_denominator`` the per-row softmax
     normalizer.  Finalizing divides the partial output by the denominator.
+    A fold writes into its three arrays in place.
     """
 
     partial_output: np.ndarray  # (heads, queries, head_dim)
     running_max: np.ndarray  # (heads, queries)
     running_denominator: np.ndarray  # (heads, queries)
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.partial_output, self.running_max, self.running_denominator)
 
 
 def init_attention_state(num_heads: int, num_queries: int, head_dim: int) -> AttentionState:
@@ -214,7 +212,7 @@ def start_fold(q_block, q_positions, state: AttentionState | None = None) -> Att
     q_pos = _check_positions(q_positions, "q_positions", q.shape[1])
     fresh = state is None
     state = (init_attention_state(*q.shape) if fresh
-             else AttentionState(*(a.copy() for a in state.as_arrays())))
+             else AttentionState(*(a.copy() for a in state)))
     return AttentionFold(q, q_pos, _span(q_pos), state, fresh)
 
 
@@ -320,7 +318,7 @@ def _fold_run(fold: AttentionFold, first: int, ks, vs, kv_positions, masked: boo
     ``first`` on, kept k blocks of one shape) in order; ``masked`` is set
     when some key of the run lies after some query."""
     q, q_pos = fold.q, fold.q_positions
-    output, running_max, denominator = fold.state.as_arrays()
+    output, running_max, denominator = fold.state
     if first:
         q, q_pos = q[:, first:], q_pos[first:]
         output, running_max, denominator = (

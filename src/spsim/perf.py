@@ -36,7 +36,6 @@ __all__ = [
     "flops_profile",
     "comm_volume",
     "strategy_messages",
-    "prefill_messages",
     "decode_messages",
     "per_rank_comm_seconds",
     "iteration_time",
@@ -276,21 +275,6 @@ def strategy_messages(config: StrategyConfig, spec: AttentionSpec, seq_len: int,
             yield src, (src + degree) % world, seg_kv_bytes, "p2p"
         for dst in a2a_peers:
             yield src, dst, q_part, "a2a"
-
-
-def prefill_messages(config: StrategyConfig, spec: AttentionSpec, seq_len: int,
-                     mesh: DeviceMesh):
-    """Yield every off-rank message (src, dst, nbytes, kind) of ``sp_prefill``.
-
-    Prefill runs the strategy's forward pass once per layer on the prompt's
-    padded length ``seq_len`` (the plan's ``padded_length``), so this is
-    ``spec.num_layers`` copies of
-    ``strategy_messages``; within a layer the executed log may interleave
-    the ring groups' hops in another order.
-    """
-    messages = list(strategy_messages(config, spec, seq_len, mesh))
-    for _layer in range(spec.num_layers):
-        yield from messages
 
 
 def decode_messages(spec: AttentionSpec, mesh: DeviceMesh, owner: int,

@@ -112,9 +112,9 @@ class ShardPlan:
     original_length: int
 
     def __post_init__(self) -> None:
+        granule = plan_granule(self.kind, self.sp_degree)
         if self.sp_degree < 1:
             raise ValueError("sp_degree must be >= 1")
-        granule = plan_granule(self.kind, self.sp_degree)
         if self.padded_length < 1 or self.padded_length % granule != 0:
             need = (f"sp_degree {self.sp_degree}" if self.kind == "contiguous"
                     else f"2 * sp_degree = {granule}")
@@ -225,6 +225,9 @@ class ShardPlan:
 
 def plan_granule(shard_kind: str, sp: int) -> int:
     """Token multiple a plan's length needs: one chunk per rank, or two for zigzag."""
+    if shard_kind not in ("contiguous", "zigzag"):
+        raise ValueError(
+            f"unknown plan kind {shard_kind!r} (expected 'contiguous' or 'zigzag')")
     return sp if shard_kind == "contiguous" else 2 * sp
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "ulysses_attention",
     "attention_2d",
     "execute_strategy",
-    "plan_for_strategy",
     "plan_kind",
     "resolve_strategy",
     "packed_a2a_degree",
@@ -186,7 +185,6 @@ def packed_a2a_degree(spec: AttentionSpec, topology: Topology) -> int:
 class StrategyRun:
     """Result of executing one strategy on global inputs."""
 
-    config: StrategyConfig
     plan: ShardPlan
     outputs: list[np.ndarray]  # per-rank (heads, local_len, head_dim)
     log: object  # CommLog
@@ -405,11 +403,6 @@ def attention_2d(mesh, plan, q_shards, k_shards, v_shards, spec,
 # Uniform front door used by verification and the CLI
 # ---------------------------------------------------------------------------
 
-def plan_for_strategy(config: StrategyConfig, length: int) -> ShardPlan:
-    """The shard plan a strategy runs on, for an already-divisible length."""
-    return ShardPlan(plan_kind(config.kind), config.sp_degree, length, length)
-
-
 def execute_strategy(mesh: DeviceMesh, config: StrategyConfig, spec: AttentionSpec,
                      q: np.ndarray, k: np.ndarray, v: np.ndarray,
                      fault=None) -> StrategyRun:
@@ -420,7 +413,7 @@ def execute_strategy(mesh: DeviceMesh, config: StrategyConfig, spec: AttentionSp
     factorisation of the world.
     """
     config.check_mesh(mesh)
-    plan = plan_for_strategy(config, q.shape[1])
+    plan = ShardPlan(plan_kind(config.kind), config.sp_degree, q.shape[1], q.shape[1])
     # Built per call, so a wrapper later set on these names (perfbench's tracer) runs.
     run = {"naive_ring": ring_attention, "zigzag_ring": zigzag_ring_attention,
            "ulysses": ulysses_attention, "two_d": attention_2d}[config.kind]
@@ -429,4 +422,4 @@ def execute_strategy(mesh: DeviceMesh, config: StrategyConfig, spec: AttentionSp
     k_shards = plan.shard(k, axis=1)
     v_shards = plan.shard(v, axis=1)
     outputs, log = run(mesh, plan, q_shards, k_shards, v_shards, spec, *extra, fault=fault)
-    return StrategyRun(config=config, plan=plan, outputs=outputs, log=log)
+    return StrategyRun(plan=plan, outputs=outputs, log=log)

@@ -46,7 +46,7 @@ def make_prompt(mesh, text_tokens=30, frames=1, tokens_per_frame=5):
 class TestStubModel:
     def test_embed_equals_text_embedding_stub(self):
         model = StubModel(SPEC, vocab_size=16)
-        hidden = model.hidden_size
+        hidden = model.spec.hidden_size
         for token_id in range(model.vocab_size):
             np.testing.assert_array_equal(model.embed([token_id]),
                                           text_embedding_stub([token_id], hidden))
@@ -188,22 +188,36 @@ class TestDecode:
 
     def test_one_merge_call_per_layer_on_the_owner(self, monkeypatch):
         # perfbench's numeric.merge metrics wrap this name: the owner alone
-        # merges a layer's gathered partials, one per rank, in a single call.
+        # merges a layer's gathered partials, one per rank, in a single call,
+        # and they are the very states the ranks' folds made, in group order.
         import spsim.inference as inference
 
         mesh = make_mesh(4)
         encoded, plan = make_prompt(mesh)
         state = sp_prefill(mesh, encoded, plan, StubModel(SPEC, eos_token_id=-1))
-        calls = []
+        calls, merged, folded = [], [], []
         original = inference.merge_attention_partials
+        step = inference.blockwise_attention_step
 
         def counted(*states):
             calls.append(len(states))
+            merged.append(states)
             return original(*states)
 
+        def recorded(fold, blocks):
+            result = step(fold, blocks)
+            folded.append((blocks[0], result))
+            return result
+
         monkeypatch.setattr(inference, "merge_attention_partials", counted)
+        monkeypatch.setattr(inference, "blockwise_attention_step", recorded)
         sp_decode_step(mesh, state)
         assert calls == [4] * SPEC.num_layers
+        # After the step, each rank's cache of a layer is the block its fold took.
+        for layer, states in enumerate(merged):
+            made = [next(result for block, result in folded
+                         if block is state.caches[rank][layer]) for rank in range(4)]
+            assert all(got is want for got, want in zip(states, made))
 
     def test_only_the_owner_projects_k_and_v(self, monkeypatch):
         mesh = make_mesh(4)

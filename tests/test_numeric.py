@@ -266,12 +266,12 @@ class TestBlockwiseAccumulation:
         pos = np.arange(8)
         fold = start_fold(q, pos, init_attention_state(2, 8, 4))
         before = [a.copy()
-                  for a in blockwise_attention_step(fold, [kv_block(k, v, pos)]).as_arrays()]
+                  for a in blockwise_attention_step(fold, [kv_block(k, v, pos)])]
         # every key position beyond every query position
         future_k = rng.standard_normal((2, 5, 4))
         future_v = rng.standard_normal((2, 5, 4))
         after = blockwise_attention_step(fold, [kv_block(future_k, future_v, np.arange(100, 105))])
-        for kept, now in zip(before, after.as_arrays()):
+        for kept, now in zip(before, after):
             np.testing.assert_array_equal(now, kept)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -323,10 +323,10 @@ class TestBlockwiseAccumulation:
         pos = np.arange(8)
         state = blockwise_attention_step(start_fold(q, pos, init_attention_state(4, 8, 4)),
                                          [kv_block(k[:, :4], v[:, :4], pos[:4])])
-        before = [a.copy() for a in state.as_arrays()]
+        before = [a.copy() for a in state]
         blockwise_attention_step(start_fold(q, pos, state),
                                  [kv_block(k[:, 4:], v[:, 4:], pos[4:] + kv_start)])
-        for kept, now in zip(before, state.as_arrays()):
+        for kept, now in zip(before, state):
             assert kept.tobytes() == now.tobytes()
 
     def test_non_contiguous_q_matches_contiguous_copy(self):
@@ -342,7 +342,7 @@ class TestBlockwiseAccumulation:
         states = [blockwise_attention_step(start_fold(q, pos, init_attention_state(4, 10, 8)),
                                            [kv_block(k, v, pos)])
                   for q in (q_view, q_copy)]
-        for a, b in zip(*(s.as_arrays() for s in states)):
+        for a, b in zip(*states):
             np.testing.assert_array_equal(a, b)
 
     def test_rejects_non_dividing_kv_heads(self):
@@ -434,7 +434,7 @@ class TestMergePartials:
                 running_denominator=np.where(seen, rng.random((4, 6)) + 0.5, 0.0),
             ))
         merged = merge_attention_partials(*states)
-        for got, want in zip(merged.as_arrays(), _stacked_merge(*states)):
+        for got, want in zip(merged, _stacked_merge(*states)):
             np.testing.assert_array_equal(got, want)
 
     def test_merge_of_no_states_raises(self):
@@ -520,7 +520,7 @@ class TestDecodeFold:
         if cached:
             blockwise_attention_step(fold, [kv_block(k, v, kv_pos)])
         general = blockwise_attention_step(_general_fold(q, q_pos), [kv_block(k, v, kv_pos)])
-        for a, b in zip(general.as_arrays(), fold.state.as_arrays()):
+        for a, b in zip(general, fold.state):
             assert a.tobytes() == b.tobytes()
         if cached:
             want = reference_attention(q, k, v, spec, q_positions=q_pos, kv_positions=kv_pos)
@@ -547,7 +547,7 @@ class TestFirstFoldInPlace:
         fold = start_fold(q, q_pos)
         blockwise_attention_step(fold, [kv_block(k, v, kv_pos)])
         general = blockwise_attention_step(_general_fold(q, q_pos), [kv_block(k, v, kv_pos)])
-        for a, b in zip(general.as_arrays(), fold.state.as_arrays()):
+        for a, b in zip(general, fold.state):
             assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
@@ -561,7 +561,7 @@ class TestFoldProperty:
         for block in blocks:
             blockwise_attention_step(general, [kv_block(k[:, block], v[:, block], block)])
             blockwise_attention_step(fold, [kv_block(k[:, block], v[:, block], block)])
-        for a, b in zip(general.state.as_arrays(), fold.state.as_arrays()):
+        for a, b in zip(general.state, fold.state):
             assert a.tobytes() == b.tobytes()
         want = finalize_attention(general.state)
         got = finalize_attention(fold.state)
@@ -580,12 +580,12 @@ class TestFoldProperty:
             blockwise_attention_step(uncut, [kv_block(k[:, block], v[:, block], block)])
         for block in blocks[:split]:
             blockwise_attention_step(first, [kv_block(k[:, block], v[:, block], block)])
-        before = [a.tobytes() for a in first.state.as_arrays()]
+        before = [a.tobytes() for a in first.state]
         resumed = start_fold(q, q_pos, first.state)
         for block in blocks[split:]:
             blockwise_attention_step(resumed, [kv_block(k[:, block], v[:, block], block)])
-        assert [a.tobytes() for a in first.state.as_arrays()] == before
-        for a, b in zip(uncut.state.as_arrays(), resumed.state.as_arrays()):
+        assert [a.tobytes() for a in first.state] == before
+        for a, b in zip(uncut.state, resumed.state):
             assert a.tobytes() == b.tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -609,7 +609,7 @@ class TestFoldProperty:
             pairwise = merge_attention_partials(pairwise, state)
         shuffled = merge_attention_partials(*data.draw(st.permutations(states)))
         for other in (pairwise, shuffled):
-            for a, b in zip(merged.as_arrays(), other.as_arrays()):
+            for a, b in zip(merged, other):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     @settings(max_examples=16, deadline=None, derandomize=True)
@@ -679,7 +679,7 @@ class TestFoldList:
             listed, [kv_block(*block) for block in zip(ks, vs, blocks)]) is listed.state
         for k_block, v_block, kv_pos in zip(ks, vs, blocks):
             blockwise_attention_step(chained, [kv_block(k_block, v_block, kv_pos)])
-        for a, b in zip(listed.state.as_arrays(), chained.state.as_arrays()):
+        for a, b in zip(listed.state, chained.state):
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("kind", ["contiguous", "zigzag"])
@@ -713,7 +713,7 @@ class TestFoldList:
             chained = start_fold(q[rank], plan.rank_positions(rank))
             for k_block, v_block, kv_pos in zip(*blocks):
                 blockwise_attention_step(chained, [kv_block(k_block, v_block, kv_pos)])
-            for a, b in zip(listed.state.as_arrays(), chained.state.as_arrays()):
+            for a, b in zip(listed.state, chained.state):
                 assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("kind,a2a", [("contiguous", 1), ("zigzag", 1), ("zigzag", 2)])
@@ -741,5 +741,5 @@ class TestFoldList:
             chained = start_fold(q[:, own], own)
             for block in blocks:
                 blockwise_attention_step(chained, [block])
-            for a, b in zip(listed.state.as_arrays(), chained.state.as_arrays()):
+            for a, b in zip(listed.state, chained.state):
                 assert a.tobytes() == b.tobytes()

@@ -44,7 +44,6 @@ from spsim.perf import (
     overlap_penalty,
     per_rank_comm_seconds,
     plan,
-    prefill_messages,
     reference_rows,
     strategy_messages,
     two_stage_gain,
@@ -224,7 +223,8 @@ class TestInferenceMessages:
                                   kv_replication=kv_replication)
         mesh, plan, state = _prefill(config, spec, world)
         executed = Counter((r.src, r.dst, r.nbytes, r.kind) for r in state.comm_log.records)
-        assert executed == Counter(prefill_messages(config, spec, plan.padded_length, mesh))
+        assert executed == Counter(
+            spec.num_layers * list(strategy_messages(config, spec, plan.padded_length, mesh)))
 
     @pytest.mark.parametrize("world", [1, 2, 4, 8])
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)

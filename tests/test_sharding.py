@@ -339,6 +339,16 @@ class TestGranuleRule:
                         f"length {length} not divisible by {need}")):
                     ShardPlan(kind, sp, length, length)
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda kind: ShardPlan(kind, 2, 8, 8), id="ShardPlan"),
+        pytest.param(lambda kind: padded_length(kind, 2, 5), id="padded_length"),
+    ])
+    @pytest.mark.parametrize("kind", ["contigous", "Zigzag", "ring"])
+    def test_an_unknown_plan_kind_is_refused(self, make, kind):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown plan kind {kind!r} (expected 'contiguous' or 'zigzag')")):
+            make(kind)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(sp=SP_DEGREES, length=st.integers(1, 10**6))
     def test_globalize_pads_to_the_zigzag_padded_length(self, sp, length):

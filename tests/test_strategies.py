@@ -33,7 +33,6 @@ from spsim.strategies import (
     effective_kv_heads,
     execute_strategy,
     packed_a2a_degree,
-    plan_for_strategy,
     plan_kind,
     ring_attention,
     ulysses_attention,
@@ -310,10 +309,10 @@ class TestA2APackingRule:
 
 class TestPlanForStrategy:
     def test_plan_kinds(self):
-        assert plan_for_strategy(StrategyConfig("naive_ring", p2p_degree=4), 32).kind == "contiguous"
-        assert plan_for_strategy(StrategyConfig("ulysses", a2a_degree=4), 32).kind == "contiguous"
-        assert plan_for_strategy(StrategyConfig("zigzag_ring", p2p_degree=4), 32).kind == "zigzag"
-        assert plan_for_strategy(StrategyConfig("two_d", a2a_degree=2, p2p_degree=2), 32).kind == "zigzag"
+        assert plan_kind("naive_ring") == "contiguous"
+        assert plan_kind("ulysses") == "contiguous"
+        assert plan_kind("zigzag_ring") == "zigzag"
+        assert plan_kind("two_d") == "zigzag"
 
     @pytest.mark.parametrize("mesh,config,spec", [
         pytest.param(sp_mesh(4), StrategyConfig("zigzag_ring", p2p_degree=2), SPEC,
